@@ -58,7 +58,7 @@ trip at compress time before committing to it.
 from __future__ import annotations
 
 import zlib
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 from repro.compression.base import Codec, register_codec
 from repro.compression.columnar import (
@@ -128,30 +128,61 @@ class ChannelZoneMap:
     #: The channel's complete distinct-value set, or None when it
     #: exceeded :data:`DISTINCT_CAP` and was dropped.
     distinct: tuple[str, ...] | None
+    #: ``distinct`` as a set, built once per parse: a resident header
+    #: answers the explore cell filter without re-hashing per query.
+    distinct_set: frozenset[str] | None = field(
+        init=False, repr=False, compare=False
+    )
+
+    def __post_init__(self) -> None:
+        object.__setattr__(
+            self,
+            "distinct_set",
+            None if self.distinct is None else frozenset(self.distinct),
+        )
 
 
 @dataclass(frozen=True)
 class TypedChannelHeader:
-    """Parsed zone-map header of a table-mode typed-channel blob."""
+    """Parsed zone-map header of a table-mode typed-channel blob.
+
+    Immutable and a pure function of the blob's bytes, so one parse can
+    be shared by every scan of the leaf (the leaf cache keeps it
+    resident until the leaf's bytes change).
+    """
 
     mode: int
     columns: tuple[str, ...]
     n_rows: int
     zones: tuple[ChannelZoneMap, ...]
-    #: Offset of the first channel body within the blob.
+    #: Offset of the first channel body within the blob — also the
+    #: header's own encoded size, which is what the leaf cache charges.
     body_start: int
+    _by_name: dict[str, ChannelZoneMap] = field(
+        init=False, repr=False, compare=False
+    )
+    #: Decompression work a full decode of this leaf would cost.
+    total_raw_bytes: int = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self) -> None:
+        by_name: dict[str, ChannelZoneMap] = {}
+        for zone in self.zones:
+            by_name.setdefault(zone.name, zone)  # first wins, as a scan would
+        object.__setattr__(self, "_by_name", by_name)
+        object.__setattr__(
+            self, "total_raw_bytes", sum(zone.raw_len for zone in self.zones)
+        )
 
     def zone(self, column: str) -> ChannelZoneMap | None:
         """Zone map for a column name, or None when absent."""
-        for zone in self.zones:
-            if zone.name == column:
-                return zone
-        return None
+        return self._by_name.get(column)
 
     @property
-    def total_raw_bytes(self) -> int:
-        """Decompression work a full decode of this leaf would cost."""
-        return sum(zone.raw_len for zone in self.zones)
+    def unique_names(self) -> bool:
+        """False for a blob whose channels repeat a name (only a
+        hand-built ``COL1`` payload can) — its channels cannot be
+        addressed by column, so they are never cached."""
+        return len(self._by_name) == len(self.zones)
 
 
 @dataclass(frozen=True)
@@ -310,7 +341,7 @@ def read_header(blob: bytes) -> TypedChannelHeader | None:
         distinct: tuple[str, ...] | None = None
         if flags & 1:
             n_distinct, pos = decode_varint(blob, pos)
-            if n_distinct > DISTINCT_CAP + 1:
+            if n_distinct > DISTINCT_CAP:
                 raise CorruptStreamError(
                     f"typed-channel zone map declares {n_distinct} "
                     f"distinct values (cap {DISTINCT_CAP})"
@@ -432,15 +463,27 @@ def decode_table(
     if header is None:
         raise CorruptStreamError("raw-mode typed-channel blob has no channels")
     names, column_values, stats = decode_columns(blob, columns, header)
-    rows = [
-        [column_values[c][r] for c in range(len(names))]
-        for r in range(header.n_rows)
-    ]
+    return table_from_columns(name, names, column_values, header.n_rows), stats
+
+
+def table_from_columns(
+    name: str, names: list[str], column_values: list[list[str]], n_rows: int
+) -> Table:
+    """Transpose per-column cell lists (each ``n_rows`` long) into a
+    :class:`Table` — the row form of a :func:`decode_columns` result or
+    of channels served from the leaf cache.
+
+    Raises:
+        CorruptStreamError: when the names cannot form a table.
+    """
+    if names:
+        rows = [list(row) for row in zip(*column_values)]
+    else:
+        rows = [[] for __ in range(n_rows)]
     try:
-        table = Table(name=name, columns=names, rows=rows)
+        return Table(name=name, columns=list(names), rows=rows)
     except ValueError as exc:  # e.g. duplicate column names
         raise CorruptStreamError(f"malformed typed-channel table: {exc}") from exc
-    return table, stats
 
 
 # ----------------------------------------------------------------------
@@ -603,6 +646,8 @@ __all__ = [
     "TYPEDCHANNEL_NAME",
     "TypedChannelCodec",
     "TypedChannelHeader",
+    "decode_columns",
     "decode_table",
     "read_header",
+    "table_from_columns",
 ]

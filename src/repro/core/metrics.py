@@ -134,6 +134,10 @@ class WarehouseMetrics:
     query_bytes_decompressed: int = 0
     query_channels_decoded: int = 0
     query_channel_bytes_skipped: int = 0
+    #: Typed-channel residency: headers / decoded channels scans took
+    #: from the leaf cache instead of parsing / decoding.
+    query_header_cache_hits: int = 0
+    query_channels_from_cache: int = 0
     query_scan_wall_seconds: float = 0.0
     query_scan_task_seconds: float = 0.0
     #: Backend of the decode fan-outs; ``"mixed"`` once scans have run
@@ -348,6 +352,8 @@ class WarehouseMetrics:
             self.query_channel_bytes_skipped += getattr(
                 stats, "channel_bytes_skipped", 0
             )
+            self.query_header_cache_hits += stats.header_cache_hits
+            self.query_channels_from_cache += stats.channels_from_cache
             self.query_scan_wall_seconds += stats.wall_seconds
             self.query_scan_task_seconds += stats.task_seconds
             if stats.backend:
@@ -557,10 +563,16 @@ class WarehouseMetrics:
                     else f"(speedup n/a{backend})"
                 )
             )
-        if self.query_channels_decoded or self.query_channel_bytes_skipped:
+        if (
+            self.query_channels_decoded
+            or self.query_channel_bytes_skipped
+            or self.query_header_cache_hits
+        ):
             lines.append(
                 f"  typed channels:        {self.query_channels_decoded} decoded, "
-                f"{self.query_channel_bytes_skipped:,} encoded bytes skipped"
+                f"{self.query_channel_bytes_skipped:,} encoded bytes skipped, "
+                f"{self.query_header_cache_hits} headers and "
+                f"{self.query_channels_from_cache} channels from cache"
             )
         if self.query_cache_hits or self.query_cache_misses:
             lines.append(

@@ -62,8 +62,8 @@ from repro.query.leafscan import (
     ScanStats,
     decode_leaf_columns_task,
     decode_leaf_task,
-    task_is_projected,
-    zone_map_prunes,
+    resident_columns,
+    resident_table,
 )
 from repro.spatial.geometry import BoundingBox, Point
 from repro.spatial.rtree import RTree
@@ -541,13 +541,17 @@ class Spate(Framework):
 
         Runs on the calling thread (DFS and the leaf cache are not
         thread-safe) and returns ``(plan, tasks)``: plan entries fold in
-        this epoch order as ``(epoch, "table"|"absent"|"task", payload)``
-        where ``"table"`` carries a cache-hit Table, ``"absent"`` None,
-        and ``"task"`` an index into the decode task list.
+        this epoch order as ``(epoch, kind, payload)`` where ``"table"``
+        carries a cache-hit Table, ``"channels"`` a typed-channel leaf's
+        cache-served ``(header, channels)``, ``"absent"`` None, and
+        ``"task"`` an index into the decode task list.  Gate order per
+        leaf: summary → quarantine → :meth:`ScanContext.plan_leaf`
+        (cache probe → zone gate → DFS read).
         """
         from repro.query.sql.planner import disproved_by_summary
 
-        proj = ctx.projection(tuple(columns)) if columns is not None else None
+        wanted = tuple(columns) if columns is not None else None
+        proj = ctx.projection(wanted) if wanted is not None else None
         plan: list[tuple[int, str, object]] = []
         tasks: list[tuple] = []
         for leaf in self.index.leaves():
@@ -568,43 +572,27 @@ class Spate(Framework):
                     raise exc
                 coverage["epochs_skipped"][leaf.epoch] = str(exc)
                 continue
-            cached = self._scan_cache_get(leaf.epoch, table)
-            if cached is not None:
-                stats.cache_hits += 1
-                plan.append((leaf.epoch, "table", cached))
-                continue
             path = leaf.table_paths.get(table)
             if path is None:
                 plan.append((leaf.epoch, "absent", None))
                 continue
             try:
-                blob = self.dfs.read_file(path)
+                kind, payload = ctx.plan_leaf(
+                    stats, leaf.epoch, table, path, proj, wanted,
+                    predicates=predicates,
+                )
             except StorageError as exc:
                 if not partial_ok:
                     raise
                 coverage["epochs_skipped"][leaf.epoch] = str(exc)
                 continue
-            task = ctx.decode_task(
-                table,
-                blob,
-                proj,
-                epoch=leaf.epoch,
-                wanted=tuple(columns) if columns is not None else None,
-            )
-            if ctx.pruning and predicates:
-                # Typed-channel leaves carry per-channel zone maps; a
-                # pushed predicate they disprove skips the decode
-                # entirely (sound: the executor re-applies every
-                # predicate row-wise, so a leaf with no passing row
-                # contributes nothing either way).
-                zone_pruned, skipped_bytes = zone_map_prunes(task, predicates)
-                if zone_pruned:
-                    coverage["epochs_pruned"].append(leaf.epoch)
-                    stats.leaves_zone_pruned += 1
-                    stats.channel_bytes_skipped += skipped_bytes
-                    continue
-            plan.append((leaf.epoch, "task", len(tasks)))
-            tasks.append(task)
+            if kind == "pruned":
+                coverage["epochs_pruned"].append(leaf.epoch)
+                continue
+            if kind == "task":
+                tasks.append(payload)
+                payload = len(tasks) - 1
+            plan.append((leaf.epoch, kind, payload))
         return plan, tasks
 
     def _read_rows_grouped(
@@ -645,10 +633,9 @@ class Spate(Framework):
                 if channel_stats is not None:
                     stats.channels_decoded += channel_stats.channels_decoded
                     stats.channel_bytes_skipped += channel_stats.bytes_skipped
-                if not task_is_projected(tasks[payload]):
-                    # Projected decodes are partial tables; only full
-                    # decodes may enter the shared leaf cache.
-                    self._scan_cache_put(epoch, table, loaded, nbytes)
+                ctx.cache_decoded_table(epoch, tasks[payload], loaded, nbytes)
+            elif kind == "channels":
+                loaded = resident_table(table, *payload)
             else:
                 loaded = payload  # cache hit, or None for "absent"
             coverage["epochs_served"].append(epoch)
@@ -684,8 +671,11 @@ class Spate(Framework):
         contract; transposing the result reproduces :meth:`read_rows`
         byte-for-byte.  Typed-channel and columnar-layout leaves decode
         straight into columns (the per-leaf row transpose disappears);
-        cache-hit leaves transpose the cached Table on the way out, and
-        column scans never populate the leaf cache themselves.
+        cache-hit leaves transpose the cached Table on the way out.
+        Typed-channel decodes leave their channels in the leaf cache, and
+        a leaf whose wanted channels are all resident is served from it
+        without a DFS read; those cell lists are shared, so per-epoch
+        chunks are read-only to every consumer.
         """
         out_columns, by_epoch = self._read_columns_grouped(
             table, first_epoch, last_epoch, partial_ok, predicates, columns
@@ -754,8 +744,11 @@ class Spate(Framework):
                 if channel_stats is not None:
                     stats.channels_decoded += channel_stats.channels_decoded
                     stats.channel_bytes_skipped += channel_stats.bytes_skipped
-                # Column decodes never feed the leaf cache: projected or
-                # not, they are column lists, not Tables.
+                ctx.cache_decoded_columns(
+                    epoch, tasks[payload], names, column_values
+                )
+            elif kind == "channels":
+                names, column_values = resident_columns(*payload)
             elif kind == "table":
                 loaded = payload  # cache hit: transpose on the way out
                 names = list(loaded.columns)
@@ -1332,23 +1325,39 @@ class Spate(Framework):
             cache_get=self._scan_cache_get,
             cache_put=self._scan_cache_put,
             codec_of=self._leaf_codec_info,
+            cache_put_channels=(
+                self._scan_cache_put_channels
+                if self.leaf_cache is not None
+                else None
+            ),
         )
 
-    def _scan_cache_get(self, epoch: int, table: str) -> Table | None:
+    def _scan_cache_get(self, epoch: int, table: str, columns=None) -> tuple:
+        """One scan's leaf-cache probe (:meth:`LeafCache.lookup`); the
+        hit or miss is counted here, at the probe, so the metrics agree
+        with the cache's own counters whatever the decode then does."""
         if self.leaf_cache is None:
-            return None
-        cached = self.leaf_cache.get(epoch, table)
-        if cached is not None:
-            self.metrics.on_leaf_cache(hit=True)
-        return cached
+            return None, None, None
+        found = self.leaf_cache.lookup(epoch, table, columns)
+        self.metrics.on_leaf_cache(
+            hit=found[0] is not None or found[2] is not None
+        )
+        return found
 
     def _scan_cache_put(
         self, epoch: int, table: str, loaded: Table, nbytes: int
     ) -> None:
         if self.leaf_cache is None:
             return
-        self.metrics.on_leaf_cache(hit=False)
         evicted = self.leaf_cache.put(epoch, table, loaded, nbytes)
+        self.metrics.on_leaf_cache_change(
+            evicted, 0, self.leaf_cache.current_bytes
+        )
+
+    def _scan_cache_put_channels(
+        self, epoch: int, table: str, header, channels: dict
+    ) -> None:
+        evicted = self.leaf_cache.put_channels(epoch, table, header, channels)
         self.metrics.on_leaf_cache_change(
             evicted, 0, self.leaf_cache.current_bytes
         )
@@ -1392,8 +1401,8 @@ class Spate(Framework):
             raise self._quarantine_error(leaf)
         if self.leaf_cache is not None:
             cached = self.leaf_cache.get(leaf.epoch, table)
+            self.metrics.on_leaf_cache(hit=cached is not None)
             if cached is not None:
-                self.metrics.on_leaf_cache(hit=True)
                 return cached
         path = leaf.table_paths.get(table)
         if path is None:
@@ -1401,19 +1410,15 @@ class Spate(Framework):
         codec = self._codec_for_leaf(leaf, table)
         payload = codec.decompress(self.dfs.read_file(path))
         loaded = deserialize_table(table, payload, self.config.layout)
-        if self.leaf_cache is not None:
-            self.metrics.on_leaf_cache(hit=False)
-            evicted = self.leaf_cache.put(leaf.epoch, table, loaded, len(payload))
-            self.metrics.on_leaf_cache_change(
-                evicted, 0, self.leaf_cache.current_bytes
-            )
+        self._scan_cache_put(leaf.epoch, table, loaded, len(payload))
         return loaded
 
     def _find_leaf(self, epoch: int) -> SnapshotLeaf | None:
         return self.index.find_leaf(epoch)
 
     def _invalidate_cached_epochs(self, epochs: list[int]) -> None:
-        """Drop cached tables for leaves that decay purged or rewrote."""
+        """Drop cached tables, headers and channels of leaves that
+        decay, the fungus or recompaction purged or rewrote."""
         if self.leaf_cache is None or not epochs:
             return
         dropped = 0

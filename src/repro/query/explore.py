@@ -36,8 +36,7 @@ from repro.query.leafscan import (
     ScanContext,
     ScanStats,
     decode_leaf_task,
-    task_is_projected,
-    zone_map_prunes,
+    resident_table,
 )
 from repro.spatial.geometry import BoundingBox, Point
 
@@ -505,8 +504,9 @@ class ExplorationEngine:
         1. day-level pruning — if the day summary proves no row can
            match the spatial filter, every leaf is skipped unread;
         2. a main-thread gatekeeping pass that applies the exact serial
-           per-leaf policy (deadline, quarantine, cache, DFS read) and
-           collects decode tasks;
+           per-leaf policy (deadline, quarantine, then
+           :meth:`ScanContext.plan_leaf`: cache probe, zone gate, DFS
+           read) and collects decode tasks;
         3. a chunked executor fan-out over the decode tasks, re-checking
            the deadline between chunks, followed by the epoch-order fold.
         """
@@ -544,6 +544,15 @@ class ExplorationEngine:
             else query.attributes
         )
         proj = ctx.projection(wanted)
+        # Typed-channel leaves: when the cell-id channel's zone map holds
+        # the complete distinct set and it misses the query box's cells,
+        # no row of the leaf can match (the row filter would drop them
+        # all), so the gate skips it.
+        cell_filter = (
+            (cell_col, cells)
+            if cells is not None and cell_col is not None
+            else None
+        )
 
         # Phase 2: gatekeeping on the main thread (DFS and the leaf
         # cache are not thread-safe).  Each entry is folded later in
@@ -574,39 +583,26 @@ class ExplorationEngine:
             if path is None:
                 plan.append((leaf, "absent", None))
                 continue
-            cached = ctx.cache_get(leaf.epoch, query.table)
-            if cached is not None:
-                stats.cache_hits += 1
-                plan.append((leaf, "table", cached))
-                continue
             try:
-                blob = ctx.read_payload(path)
+                kind, payload = ctx.plan_leaf(
+                    stats, leaf.epoch, query.table, path, proj, wanted,
+                    cell_filter=cell_filter,
+                )
             except StorageError as exc:
                 if not partial_ok:
                     raise
                 coverage.epochs_skipped[leaf.epoch] = f"unreadable: {exc}"
                 plan.append((leaf, "skipped", None))
                 continue
-            task = ctx.decode_task(
-                query.table, blob, proj, epoch=leaf.epoch, wanted=wanted
-            )
-            if ctx.pruning and cells is not None and cell_col is not None:
-                # Typed-channel leaves: when the cell-id channel's zone
-                # map holds the complete distinct set and it misses the
-                # query box's cells, no row of this leaf can match —
-                # skip the decode (the row filter would drop them all).
-                zone_pruned, skipped_bytes = zone_map_prunes(
-                    task, cell_filter=(cell_col, cells)
-                )
-                if zone_pruned:
-                    if not result.columns:
-                        result.columns = ["epoch", *query.attributes]
-                    coverage.epochs_pruned.append(leaf.epoch)
-                    stats.leaves_zone_pruned += 1
-                    stats.channel_bytes_skipped += skipped_bytes
-                    continue
-            plan.append((leaf, "task", len(tasks)))
-            tasks.append(task)
+            if kind == "pruned":
+                if not result.columns:
+                    result.columns = ["epoch", *query.attributes]
+                coverage.epochs_pruned.append(leaf.epoch)
+                continue
+            if kind == "task":
+                tasks.append(payload)
+                payload = len(tasks) - 1
+            plan.append((leaf, kind, payload))
 
         # Phase 3: parallel decode.  run_chunked stops submitting once
         # the deadline expires, so tasks past the cutoff never run.
@@ -635,10 +631,11 @@ class ExplorationEngine:
                 if channel_stats is not None:
                     stats.channels_decoded += channel_stats.channels_decoded
                     stats.channel_bytes_skipped += channel_stats.bytes_skipped
-                if not task_is_projected(tasks[payload]):
-                    # Projected decodes are partial tables; only full
-                    # decodes may populate the shared leaf cache.
-                    ctx.cache_put(leaf.epoch, query.table, table, nbytes)
+                ctx.cache_decoded_table(
+                    leaf.epoch, tasks[payload], table, nbytes
+                )
+            elif kind == "channels":
+                table = resident_table(query.table, *payload)
             else:
                 table = payload  # "table" (cache hit) or "absent" (None)
             result.snapshots_read += 1

@@ -18,12 +18,20 @@ order their rows are merged — answers are byte-identical to the serial
 scan, whatever backend ran the decode.
 
 Leaves stored with the typed-channel codec add a third gate between
-summary pruning and decode submission: :func:`zone_map_prunes` reads
-the blob's per-channel zone maps (no decompression) and skips the leaf
+summary pruning and decode submission: :func:`zone_map_prunes` consults
+the leaf's per-channel zone maps (no decompression) and skips the leaf
 when they *disprove* a pushed predicate or the explore cell filter.
 Disproof reuses the executor's exact value semantics
 (:mod:`repro.query.sql.values`), so a zone-pruned scan returns
 byte-identical answers to a full decode.
+
+A typed-channel leaf's header is parsed **once per scan at most**: the
+gatekeeper takes it from the leaf cache when it is resident (then a
+pruned leaf costs no DFS read either) or parses it when it builds the
+decode task, and the task carries it to the worker.  Decoded channels
+go back into the same cache, so a warm scan whose wanted channels are
+all resident (:func:`resident_columns`) skips the read, the inflate and
+the column decode.
 """
 
 from __future__ import annotations
@@ -47,8 +55,14 @@ class ScanStats:
     #: Leaves skipped because their typed-channel zone maps disproved a
     #: pushed predicate or the explore cell filter.
     leaves_zone_pruned: int = 0
-    #: Scanned leaves served from the decompressed-leaf cache.
+    #: Scanned leaves served from the decompressed-leaf cache (a full
+    #: table, or every wanted channel of a typed-channel leaf).
     cache_hits: int = 0
+    #: Typed-channel leaves whose parsed header came from the leaf cache
+    #: (zone-gated, and decoded if they survived, without a parse).
+    header_cache_hits: int = 0
+    #: Decoded channels served from the leaf cache.
+    channels_from_cache: int = 0
     #: Decompressed payload bytes produced by this query's decodes.
     bytes_decompressed: int = 0
     #: Typed channels actually decoded by selective decodes.
@@ -68,6 +82,8 @@ class ScanStats:
         self.leaves_pruned += other.leaves_pruned
         self.leaves_zone_pruned += other.leaves_zone_pruned
         self.cache_hits += other.cache_hits
+        self.header_cache_hits += other.header_cache_hits
+        self.channels_from_cache += other.channels_from_cache
         self.bytes_decompressed += other.bytes_decompressed
         self.channels_decoded += other.channels_decoded
         self.channel_bytes_skipped += other.channel_bytes_skipped
@@ -121,6 +137,12 @@ class ScanStats:
             if self.channels_decoded or self.channel_bytes_skipped
             else ""
         )
+        resident = (
+            f", {self.header_cache_hits} headers and "
+            f"{self.channels_from_cache} channels from cache"
+            if self.header_cache_hits or self.channels_from_cache
+            else ""
+        )
         speedup = (
             f"speedup {self.speedup:.2f}x"
             if self.wall_seconds > 0.0
@@ -133,6 +155,7 @@ class ScanStats:
             + zone
             + f", {self.bytes_decompressed:,} bytes decompressed"
             + channels
+            + resident
             + f", decode wall {self.wall_seconds * 1000:.1f} ms "
             f"({speedup}"
             + (f", {self.backend}" if self.backend else "")
@@ -152,12 +175,13 @@ class ScanContext:
     pruning: bool
     #: ``(path) -> bytes`` — raw DFS read, main thread only.
     read_payload: Callable[[str], bytes]
-    #: ``(epoch, table) -> Table | None`` — leaf-cache probe (None when
-    #: caching is off or the entry is absent); counts hits.
-    cache_get: Callable[[int, str], Optional[Table]]
-    #: ``(epoch, table, loaded, nbytes)`` — leaf-cache insert; counts
-    #: misses and evictions.  Callers must skip it for projected
-    #: decodes, which are not full tables.
+    #: ``(epoch, table, columns) -> (table, header, channels)`` — one
+    #: leaf-cache probe (:meth:`repro.core.leaf_cache.LeafCache.lookup`;
+    #: all None when caching is off); counts the hit or miss.
+    cache_get: Callable[[int, str, object], tuple]
+    #: ``(epoch, table, loaded, nbytes)`` — leaf-cache insert of a full
+    #: table; counts evictions.  Projected decodes are not full tables:
+    #: go through :meth:`cache_decoded_table`.
     cache_put: Callable[[int, str, Table, int], None]
     #: Decode tasks submitted per executor round; the deadline is
     #: re-checked between rounds.
@@ -167,6 +191,10 @@ class ScanContext:
     #: walks the index and may read a dictionary off the DFS).  None
     #: falls back to the warehouse-wide ``codec_name`` for every leaf.
     codec_of: Optional[Callable[[int, str], tuple[str, Optional[bytes]]]] = None
+    #: ``(epoch, table, header, {column: cells})`` — leaf-cache insert of
+    #: a typed-channel leaf's header and decoded channels; None when
+    #: caching is off, so callers skip preparing the channels at all.
+    cache_put_channels: Optional[Callable[[int, str, object, dict], None]] = None
 
     def decode_task(
         self,
@@ -175,7 +203,8 @@ class ScanContext:
         columns: tuple[str, ...] | None,
         epoch: int | None = None,
         wanted: Iterable[str] | None = None,
-    ) -> tuple[str, Optional[bytes], str, str, bytes, tuple[str, ...] | None]:
+        header=None,
+    ) -> tuple:
         """Build one picklable work unit for :func:`decode_leaf_task`.
 
         When the caller passes the leaf's ``epoch`` and the context has
@@ -184,22 +213,34 @@ class ScanContext:
         codec is assumed, as before codec tagging existed.
 
         ``wanted`` is the raw referenced-column set before the layout
-        gate in :meth:`projection`.  Typed-channel leaves can skip
-        channels under *either* physical layout, so when the resolved
-        codec is typed-channel and no layout-gated projection applies,
-        the wanted set becomes the projection for that leaf alone.
+        gate in :meth:`projection`; a typed-channel leaf decodes
+        :meth:`typed_projection` of it.
+
+        ``header`` is the leaf's typed-channel header when the caller
+        already holds it (from the leaf cache); otherwise a
+        typed-channel blob's header is parsed here — the scan's one
+        parse — and rides in the task (slot :data:`TASK_HEADER`) for the
+        zone gate and the worker.
         """
         codec_name, dict_blob = self.codec_name, None
         if self.codec_of is not None and epoch is not None:
             codec_name, dict_blob = self.codec_of(epoch, table)
-        if (
-            columns is None
-            and wanted is not None
-            and self.pruning
-            and codec_name == _TYPEDCHANNEL
-        ):
-            columns = tuple(sorted(set(wanted)))
-        return (codec_name, dict_blob, self.layout, table, blob, columns)
+        if codec_name == _TYPEDCHANNEL:
+            columns = self.typed_projection(columns, wanted)
+            if header is None:
+                header = parse_header(blob)
+        return (codec_name, dict_blob, self.layout, table, blob, columns, header)
+
+    def typed_projection(
+        self, columns: tuple[str, ...] | None, wanted: Iterable[str] | None
+    ) -> tuple[str, ...] | None:
+        """The channels a typed-channel leaf decodes for a scan (None =
+        all).  Such leaves can skip channels under *either* physical
+        layout, so when no layout-gated projection applies the raw
+        wanted set becomes the projection for those leaves alone."""
+        if columns is None and wanted is not None and self.pruning:
+            return tuple(sorted(set(wanted)))
+        return columns
 
     def projection(self, columns) -> tuple[str, ...] | None:
         """The column subset to decode, or None for a full decode.
@@ -208,7 +249,7 @@ class ScanContext:
         (row-layout decodes can't skip columns) and only when pruning
         pushdown is enabled — one switch governs both optimisations.
         (Typed-channel leaves are projectable under any layout; see
-        :meth:`decode_task`.)
+        :meth:`typed_projection`.)
         """
         from repro.core.layout import COLUMNAR_LAYOUT
 
@@ -216,43 +257,171 @@ class ScanContext:
             return None
         return tuple(sorted(set(columns)))
 
+    def plan_leaf(
+        self,
+        stats: ScanStats,
+        epoch: int,
+        table: str,
+        path: str,
+        columns: tuple[str, ...] | None,
+        wanted: Iterable[str] | None,
+        predicates: Iterable = (),
+        cell_filter: tuple[str, Iterable[str]] | None = None,
+    ) -> tuple[str, object]:
+        """Gatekeep one live leaf table on the main thread, cheapest
+        evidence first: leaf-cache probe (full table, else the resident
+        typed-channel header and channels) → zone gate → DFS read →
+        decode task.  With the header resident a disproved leaf costs no
+        read and no parse, and a leaf whose wanted channels are all
+        resident no read, inflate or column decode.
+
+        Returns ``(kind, payload)``: ``"table"`` with the cached Table,
+        ``"channels"`` with ``(header, {column: cells})`` served from
+        the cache, ``"pruned"`` (zone maps disproved the leaf; counted
+        in ``stats``) with None, or ``"task"`` with a decode task.
+
+        Raises:
+            StorageError: when the DFS read fails (the caller owns the
+                strict / ``partial_ok`` policy).
+        """
+        cached, header, channels = self.cache_get(
+            epoch, table, self.typed_projection(columns, wanted)
+        )
+        if cached is not None:
+            stats.cache_hits += 1
+            return "table", cached
+        gated = self.pruning and (predicates or cell_filter is not None)
+        if header is not None:
+            stats.header_cache_hits += 1
+            if gated and _zone_pruned(stats, header, predicates, cell_filter):
+                return "pruned", None
+            if channels is not None:
+                stats.cache_hits += 1
+                stats.channels_from_cache += len(channels)
+                return "channels", (header, channels)
+        task = self.decode_task(
+            table, self.read_payload(path), columns,
+            epoch=epoch, wanted=wanted, header=header,
+        )
+        if (
+            header is None
+            and gated
+            and _zone_pruned(stats, task[TASK_HEADER], predicates, cell_filter)
+        ):
+            # Never decoded, so the fold will not cache it: leave the
+            # header resident here and the next scan skips the read too.
+            if self.cache_put_channels is not None:
+                self.cache_put_channels(epoch, table, task[TASK_HEADER], {})
+            return "pruned", None
+        return "task", task
+
+    def cache_decoded_table(
+        self, epoch: int, task: tuple, loaded: Table, nbytes: int
+    ) -> None:
+        """Offer a row-form decode to the leaf cache (main thread): a
+        full decode as its Table, a projected typed-channel decode as
+        the channels it decoded.  Any other projected decode is a
+        partial table and never cached."""
+        if not task_is_projected(task):
+            self.cache_put(epoch, task[TASK_TABLE], loaded, nbytes)
+        elif self.cache_put_channels is not None and task[TASK_HEADER] is not None:
+            self.cache_put_channels(
+                epoch,
+                task[TASK_TABLE],
+                task[TASK_HEADER],
+                {
+                    column: loaded.column_values(column)
+                    for column in task[TASK_COLUMNS]
+                    if column in loaded.columns
+                },
+            )
+
+    def cache_decoded_columns(
+        self, epoch: int, task: tuple, names: list[str], column_values: list
+    ) -> None:
+        """Offer a column-form decode of a typed-channel leaf to the leaf
+        cache (main thread): the channels it decoded, not the shared
+        blank lists standing in for the rest."""
+        header = task[TASK_HEADER]
+        if self.cache_put_channels is None or header is None:
+            return
+        wanted = task[TASK_COLUMNS]
+        self.cache_put_channels(
+            epoch,
+            task[TASK_TABLE],
+            header,
+            {
+                name: cells
+                for name, cells in zip(names, column_values)
+                if wanted is None or name in wanted
+            },
+        )
+
 
 _TYPEDCHANNEL = "typedchannel"
 
-#: The decode task tuple's column-projection slot — callers use it to
-#: tell full decodes (cacheable) from projected ones (not).
+#: Decode task tuple slots callers read: the table name, the column
+#: projection (tells full decodes from projected ones) and the parsed
+#: typed-channel header (None for every other kind of leaf).
+TASK_TABLE = 3
 TASK_COLUMNS = 5
+TASK_HEADER = 6
 
 
 def task_is_projected(task) -> bool:
     """True when a decode task will produce a partial (projected)
-    table, which must never enter the full-leaf cache."""
+    table, which must never enter the leaf cache as a full one."""
     return task[TASK_COLUMNS] is not None
 
 
+def parse_header(blob: bytes):
+    """A typed-channel blob's parsed header, or None for a raw-mode or
+    corrupt one — those take the generic decode path, which stays the
+    single place that surfaces corruption."""
+    from repro.compression.typedchannel import read_header
+
+    try:
+        return read_header(blob)
+    except CorruptStreamError:
+        return None
+
+
+def resident_columns(header, channels: dict) -> tuple[list[str], list[list[str]]]:
+    """A leaf's cache-served channels in the shape of a projected
+    ``decode_columns``: the full stored schema, unselected columns as
+    blank cell lists.  The cell lists are the cache's own — read-only."""
+    blanks = [""] * header.n_rows
+    return (
+        list(header.columns),
+        [channels.get(name, blanks) for name in header.columns],
+    )
+
+
+def resident_table(name: str, header, channels: dict) -> Table:
+    """Row form of :func:`resident_columns`, for the row-engine scan and
+    explore: the same projected table a decode would have returned."""
+    from repro.compression.typedchannel import table_from_columns
+
+    return table_from_columns(
+        name, *resident_columns(header, channels), header.n_rows
+    )
+
+
 def zone_map_prunes(
-    task,
+    header,
     predicates: Iterable = (),
     cell_filter: tuple[str, Iterable[str]] | None = None,
 ) -> tuple[bool, int]:
-    """Consult a typed-channel blob's zone maps before decoding it.
+    """Consult a typed-channel leaf's zone maps before decoding it —
+    and, when the header came from the leaf cache, before reading it.
 
     Returns ``(pruned, skipped_bytes)`` — ``pruned`` is True when some
     pushed predicate (or the explore cell filter) is *disproved* for
     every row of the leaf, and ``skipped_bytes`` is the decompression
-    work that pruning avoided.  Non-typed-channel leaves, raw-mode
-    blobs, and corrupt headers all return ``(False, 0)``: the normal
-    decode path stays the single place that surfaces corruption.
+    work that pruning avoided.  ``header`` is None for non-typed-channel
+    leaves, raw-mode blobs and corrupt headers, which all return
+    ``(False, 0)``.
     """
-    codec_name, __dict_blob, __layout, __table, blob, __columns = task
-    if codec_name != _TYPEDCHANNEL:
-        return False, 0
-    from repro.compression.typedchannel import read_header
-
-    try:
-        header = read_header(blob)
-    except CorruptStreamError:
-        return False, 0
     if header is None:
         return False, 0
     for predicate in predicates or ():
@@ -266,11 +435,23 @@ def zone_map_prunes(
         zone = header.zone(column)
         if (
             zone is not None
-            and zone.distinct is not None
-            and not set(zone.distinct).intersection(cells)
+            and zone.distinct_set is not None
+            and zone.distinct_set.isdisjoint(cells)
         ):
             return True, header.total_raw_bytes
     return False, 0
+
+
+def _zone_pruned(stats: ScanStats, header, predicates, cell_filter) -> bool:
+    """Run the zone gate for :meth:`ScanContext.plan_leaf`, counting a
+    prune.  Sound to skip on: the executor re-applies every predicate
+    (and explore its cell filter) row-wise, so a leaf with no passing
+    row contributes nothing either way."""
+    pruned, skipped_bytes = zone_map_prunes(header, predicates, cell_filter)
+    if pruned:
+        stats.leaves_zone_pruned += 1
+        stats.channel_bytes_skipped += skipped_bytes
+    return pruned
 
 
 def _zone_disproves(zone, n_rows: int, op: str, value) -> bool:
@@ -311,39 +492,36 @@ def _zone_disproves(zone, n_rows: int, op: str, value) -> bool:
     return high < value  # ">="
 
 
-def decode_leaf_task(
-    task: tuple[str, Optional[bytes], str, str, bytes, tuple[str, ...] | None],
-) -> tuple[Table, int, Optional[object]]:
+def decode_leaf_task(task: tuple) -> tuple[Table, int, Optional[object]]:
     """Decompress + deserialize one leaf table (runs on any backend).
 
     Pure function over bytes: resolves its codec by name (plus the
     leaf's shared-dictionary bytes, when its tag references one) so the
-    task tuple pickles for the process backend.  Returns the table, the
-    decompressed payload size (the leaf cache charges by it), and — for
-    typed-channel leaves — a
+    task tuple (:meth:`ScanContext.decode_task`) pickles for the process
+    backend.  Returns the table, the decompressed payload size (the
+    leaf cache charges by it), and — for typed-channel leaves, decoded
+    with the header the task carries, never a second parse — a
     :class:`~repro.compression.typedchannel.ChannelReadStats` recording
     which channels the decode touched (None otherwise).
     """
     from repro.compression.autotune import resolve_codec
     from repro.core.layout import deserialize_table
 
-    codec_name, dict_blob, layout, table_name, blob, columns = task
-    if codec_name == _TYPEDCHANNEL:
-        from repro.compression.typedchannel import decode_table, read_header
+    codec_name, dict_blob, layout, table_name, blob, columns, header = task
+    if header is not None:
+        from repro.compression.typedchannel import decode_table
 
-        header = read_header(blob)
-        if header is not None:
-            loaded, channel_stats = decode_table(
-                table_name, blob, columns, header=header
-            )
-            return loaded, channel_stats.bytes_decoded, channel_stats
+        loaded, channel_stats = decode_table(
+            table_name, blob, columns, header=header
+        )
+        return loaded, channel_stats.bytes_decoded, channel_stats
     payload = resolve_codec(codec_name, dict_blob).decompress(blob)
     loaded = deserialize_table(table_name, payload, layout, columns=columns)
     return loaded, len(payload), None
 
 
 def decode_leaf_columns_task(
-    task: tuple[str, Optional[bytes], str, str, bytes, tuple[str, ...] | None],
+    task: tuple,
 ) -> tuple[list[str], list[list[str]], int, Optional[object]]:
     """Column-major twin of :func:`decode_leaf_task` for the vectorized
     SQL read path: same task tuples, same gates, but typed-channel and
@@ -354,21 +532,14 @@ def decode_leaf_columns_task(
     from repro.compression.autotune import resolve_codec
     from repro.core.layout import deserialize_table_columns
 
-    codec_name, dict_blob, layout, table_name, blob, columns = task
-    if codec_name == _TYPEDCHANNEL:
-        from repro.compression.typedchannel import decode_columns, read_header
+    codec_name, dict_blob, layout, table_name, blob, columns, header = task
+    if header is not None:
+        from repro.compression.typedchannel import decode_columns
 
-        header = read_header(blob)
-        if header is not None:
-            names, column_values, channel_stats = decode_columns(
-                blob, columns, header=header
-            )
-            return (
-                names,
-                column_values,
-                channel_stats.bytes_decoded,
-                channel_stats,
-            )
+        names, column_values, channel_stats = decode_columns(
+            blob, columns, header=header
+        )
+        return names, column_values, channel_stats.bytes_decoded, channel_stats
     payload = resolve_codec(codec_name, dict_blob).decompress(blob)
     names, column_values = deserialize_table_columns(
         table_name, payload, layout, columns=columns

@@ -413,6 +413,45 @@ class TestTypedChannelStreams:
         with pytest.raises(CompressionError):
             codec.decompress(bomb)
 
+    def test_zone_map_distinct_count_bound_is_the_writers(self):
+        """The writer drops a distinct set larger than DISTINCT_CAP, so a
+        header declaring CAP + 1 values was not written by it — rejected,
+        while exactly CAP values (the writer's maximum) still parse."""
+        from repro.compression.typedchannel import (
+            DISTINCT_CAP,
+            _assemble,
+            _ZoneBuild,
+            read_header,
+        )
+        from repro.compression.columnar import encode_column
+
+        def blob_with(n_distinct: int) -> bytes:
+            cells = [f"v{i:03d}" for i in range(n_distinct)]
+            zone = _ZoneBuild(
+                name="c", null_count=0, int_count=0, int_min=0, int_max=0,
+                distinct=tuple(cells),
+            )
+            return _assemble(1, ["c"], len(cells), [zone], [encode_column(cells)])
+
+        codec, __, __unused = self._blobs()
+        at_cap = blob_with(DISTINCT_CAP)
+        assert len(read_header(at_cap).zone("c").distinct) == DISTINCT_CAP
+        assert codec.compress(codec.decompress(at_cap)) == at_cap
+        over = blob_with(DISTINCT_CAP + 1)
+        with pytest.raises(CompressionError, match="distinct values"):
+            read_header(over)
+        with pytest.raises(CompressionError):
+            codec.decompress(over)
+        # ... and the writer itself never emits the over-cap form: one
+        # more distinct value and the set is dropped, not stored.
+        from repro.core.snapshot import Table
+
+        wide = Table(
+            name="T", columns=["c"],
+            rows=[[f"v{i:03d}"] for i in range(DISTINCT_CAP + 1)],
+        )
+        assert read_header(codec.compress(wide.serialize())).zone("c").distinct is None
+
     def test_body_length_sum_mismatch(self):
         codec, columnar, __ = self._blobs()
         with pytest.raises(CompressionError):

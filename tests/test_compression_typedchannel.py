@@ -151,6 +151,29 @@ class TestZoneMaps:
     def test_unknown_column_has_no_zone(self, codec):
         assert self._header(codec).zone("nope") is None
 
+    def test_header_is_shareable_across_scans_and_processes(self, codec):
+        """One parse serves every scan of a leaf: lookups are by name,
+        the distinct set is a ready frozenset, and the header survives
+        the pickle a process-backend decode task puts it through."""
+        import pickle
+
+        import repro.compression.typedchannel as module
+
+        header = self._header(codec)
+        for zone in header.zones:
+            assert header.zone(zone.name) is zone
+            assert zone.distinct_set == (
+                None if zone.distinct is None else frozenset(zone.distinct)
+            )
+        assert header.unique_names
+        clone = pickle.loads(pickle.dumps(header))
+        assert clone == header
+        assert clone.zone("call_type").distinct_set == header.zone(
+            "call_type"
+        ).distinct_set
+        assert clone.total_raw_bytes == header.total_raw_bytes
+        assert "decode_columns" in module.__all__
+
 
 class TestSelectiveDecode:
     @pytest.mark.parametrize("layout", ["row", "columnar"])

@@ -155,3 +155,336 @@ class TestLeafCacheIntegration:
         assert spate.metrics.leaf_cache_misses == misses_after_first
         assert spate.metrics.leaf_cache_hits >= 4
         assert "leaf cache" in spate.metrics.summary()
+
+
+# ----------------------------------------------------------------------
+# Typed-channel residency: headers and decoded channels share the budget
+# ----------------------------------------------------------------------
+
+
+def _typed_leaf(rows: int = 4, columns=("cell_id", "duration_s", "note")):
+    """(header, {column: cells}) of one typed-channel leaf table."""
+    from repro.compression import get_codec
+    from repro.compression.typedchannel import decode_columns, read_header
+    from repro.core.layout import serialize_table
+
+    table = Table(
+        name="CDR",
+        columns=list(columns),
+        rows=[[f"c{i % 2}", str(i), "pad"][: len(columns)] for i in range(rows)],
+    )
+    blob = get_codec("typedchannel").compress(serialize_table(table, "columnar"))
+    header = read_header(blob)
+    names, cells, __ = decode_columns(blob, None, header)
+    return header, dict(zip(names, cells))
+
+
+def _channel_charge(header, column: str) -> int:
+    return 8 * header.n_rows + header.zone(column).raw_len
+
+
+class TestTypedResidencyUnit:
+    def test_header_and_channels_are_charged(self):
+        header, channels = _typed_leaf()
+        cache = LeafCache(100_000)
+        cache.put_channels(0, "CDR", header, {"cell_id": channels["cell_id"]})
+        assert cache.current_bytes == header.body_start + _channel_charge(
+            header, "cell_id"
+        )
+        assert len(cache) == 2
+        assert cache.has_header(0, "CDR")
+        assert cache.resident_channels(0, "CDR") == {"cell_id"}
+        assert not cache.has(0, "CDR")  # no full table was cached
+        # A channel is charged at least 8 bytes a cell plus its encoding.
+        assert _channel_charge(header, "cell_id") >= 8 * header.n_rows
+
+    def test_lookup_serves_only_complete_channel_sets(self):
+        header, channels = _typed_leaf()
+        cache = LeafCache(100_000)
+        cache.put_channels(
+            3, "CDR", header,
+            {"cell_id": channels["cell_id"], "note": channels["note"]},
+        )
+        table, got_header, got = cache.lookup(3, "CDR", ("cell_id", "note"))
+        assert table is None and got_header is header
+        assert got == {"cell_id": channels["cell_id"], "note": channels["note"]}
+        assert got["cell_id"] is channels["cell_id"]  # shared, not copied
+        # One wanted channel missing: the header still comes back (no
+        # parse, zone gate before the read) but the leaf must be decoded.
+        __, got_header, got = cache.lookup(3, "CDR", ("cell_id", "duration_s"))
+        assert got_header is header and got is None
+        # columns=None wants every channel of the leaf.
+        assert cache.lookup(3, "CDR", None)[2] is None
+        # Names the leaf does not store constrain nothing.
+        assert cache.lookup(3, "CDR", ("note", "ghost"))[2] == {
+            "note": channels["note"]
+        }
+        assert (cache.hits, cache.misses) == (2, 2)
+        # A cold leaf is one miss, whatever was asked for.
+        assert cache.lookup(4, "CDR", ("cell_id",)) == (None, None, None)
+        assert cache.misses == 3
+
+    def test_lookup_prefers_the_full_table(self):
+        header, channels = _typed_leaf()
+        cache = LeafCache(100_000)
+        cache.put_channels(0, "CDR", header, channels)
+        full = _table("CDR")
+        cache.put(0, "CDR", full, 50)
+        assert cache.lookup(0, "CDR", ("cell_id",)) == (full, None, None)
+        assert cache.hits == 1
+
+    def test_channels_evict_lru_under_a_small_capacity(self):
+        header, channels = _typed_leaf(rows=50)
+        one = max(_channel_charge(header, name) for name in channels)
+        cache = LeafCache(header.body_start + 2 * one)
+        cache.put_channels(0, "CDR", header, {"cell_id": channels["cell_id"]})
+        cache.put_channels(0, "CDR", header, {"duration_s": channels["duration_s"]})
+        assert cache.resident_channels(0, "CDR") == {"cell_id", "duration_s"}
+        cache.lookup(0, "CDR", ("cell_id",))  # refresh: duration_s is LRU
+        evicted = cache.put_channels(0, "CDR", header, {"note": channels["note"]})
+        assert evicted >= 1
+        assert "duration_s" not in cache.resident_channels(0, "CDR")
+        assert "cell_id" in cache.resident_channels(0, "CDR")
+        assert cache.has_header(0, "CDR")  # re-put last, so most recent
+        assert cache.current_bytes <= cache.capacity_bytes
+        assert cache.evictions == evicted
+
+    def test_oversized_channel_and_header_are_refused(self):
+        header, channels = _typed_leaf(rows=50)
+        charge = _channel_charge(header, "duration_s")
+        assert header.body_start < charge
+        cache = LeafCache(charge - 1)  # fits the header, not the channel
+        cache.put_channels(0, "CDR", header, {"duration_s": channels["duration_s"]})
+        assert cache.resident_channels(0, "CDR") == set()
+        assert cache.has_header(0, "CDR")
+        tiny = LeafCache(header.body_start - 1)
+        tiny.put_channels(0, "CDR", header, {})
+        assert len(tiny) == 0 and tiny.current_bytes == 0
+
+    def test_zero_capacity_stores_no_header_or_channel(self):
+        header, channels = _typed_leaf()
+        cache = LeafCache(0)
+        cache.put_channels(0, "CDR", header, channels)
+        assert len(cache) == 0
+        assert cache.lookup(0, "CDR", None) == (None, None, None)
+
+    def test_invalidate_epoch_drops_every_kind(self):
+        header, channels = _typed_leaf()
+        cache = LeafCache(100_000)
+        cache.put(0, "NMS", _table("NMS"), 10)
+        cache.put_channels(0, "CDR", header, channels)
+        cache.put_channels(1, "CDR", header, channels)
+        dropped = cache.invalidate_epoch(0)
+        assert dropped == 1 + 1 + len(channels)
+        assert not cache.has_header(0, "CDR")
+        assert cache.resident_channels(0, "CDR") == set()
+        assert cache.has_header(1, "CDR")
+        assert cache.current_bytes == header.body_start + sum(
+            _channel_charge(header, name) for name in channels
+        )
+
+    def test_repeated_channel_names_are_never_cached(self):
+        # Only a hand-built COL1 payload can repeat a column name; its
+        # channels cannot be keyed by column.
+        from repro.compression.typedchannel import (
+            ChannelZoneMap,
+            TypedChannelHeader,
+        )
+
+        zone = ChannelZoneMap("a", 1, 1, 0, 0, 0, 0, None)
+        header = TypedChannelHeader(
+            mode=2, columns=("a", "a"), n_rows=1, zones=(zone, zone), body_start=9
+        )
+        assert not header.unique_names
+        cache = LeafCache(1000)
+        assert cache.put_channels(0, "T", header, {"a": ["x"]}) == 0
+        assert len(cache) == 0
+
+
+def _typed_spate(**config_kwargs):
+    generator = TelcoTraceGenerator(TraceConfig(scale=0.002, days=1, seed=11))
+    spate = Spate(SpateConfig(
+        codec="typedchannel", layout="columnar", executor="serial",
+        decay=DecayPolicyConfig(enabled=False), **config_kwargs,
+    ))
+    spate.register_cells(generator.cells_table())
+    # The busy part of the day: leaves differ enough for zone maps to bite.
+    for epoch in range(20, 32):
+        spate.ingest(generator.snapshot(epoch))
+    spate.finalize()
+    return spate
+
+
+def _count_reads(spate) -> list[str]:
+    """Wrap the DFS read the scan context is built over; returns the
+    list the wrapper appends every read path to."""
+    reads: list[str] = []
+    original = spate.dfs.read_file
+
+    def counting(path, *args, **kwargs):
+        reads.append(path)
+        return original(path, *args, **kwargs)
+
+    spate.dfs.read_file = counting
+    return reads
+
+
+SELECTIVE = "SELECT COUNT(*) AS n, SUM(duration_s) AS t FROM CDR WHERE duration_s >= 400"
+
+
+class TestTypedResidencyIntegration:
+    def test_warm_column_scan_reads_nothing(self):
+        spate = _typed_spate()
+        sql = "SELECT call_type, COUNT(*) AS n FROM CDR GROUP BY call_type"
+        cold = spate.sql(sql)
+        first = spate.last_scan_stats
+        # (The planner's schema probe leaves one full Table resident.)
+        tables = first.cache_hits
+        assert tables <= 1 and first.channels_decoded == 12 - tables
+        assert first.header_cache_hits == 0
+        reads = _count_reads(spate)
+        warm = spate.sql(sql)
+        stats = spate.last_scan_stats
+        assert (warm.columns, warm.rows) == (cold.columns, cold.rows)
+        assert reads == []
+        assert stats.bytes_decompressed == 0 and stats.channels_decoded == 0
+        assert stats.cache_hits == stats.leaves_scanned == 12
+        assert stats.header_cache_hits == 12 - tables
+        assert stats.channels_from_cache == 12 - tables  # one column each
+        # A query over another column decodes only what is not resident.
+        spate.sql("SELECT SUM(duration_s) AS t FROM CDR")
+        again = spate.last_scan_stats
+        assert again.header_cache_hits == 12 - tables
+        assert again.cache_hits == tables
+        assert again.channels_decoded == 12 - tables
+
+    def test_zone_pruned_resident_leaf_costs_no_dfs_read(self):
+        spate = _typed_spate()
+        spate.sql(SELECTIVE)
+        first = spate.last_scan_stats
+        assert first.leaves_zone_pruned > 0 and first.header_cache_hits == 0
+        # The pruned leaves were read once (to parse the header that
+        # disproved them) and never decoded: only their header is resident.
+        pruned = [
+            epoch for epoch in spate.last_scan_coverage["epochs_pruned"]
+            if spate.leaf_cache.has_header(epoch, "CDR")
+        ]
+        assert len(pruned) == first.leaves_zone_pruned
+        assert all(
+            spate.leaf_cache.resident_channels(epoch, "CDR") == set()
+            for epoch in pruned
+        )
+        reads = _count_reads(spate)
+        spate.sql(SELECTIVE)
+        stats = spate.last_scan_stats
+        assert stats.leaves_zone_pruned == first.leaves_zone_pruned
+        assert reads == []
+        # Every leaf but the schema probe's full Table came by its header.
+        assert stats.leaves_zone_pruned <= stats.header_cache_hits
+        assert stats.header_cache_hits >= 12 - 1
+        assert stats.channel_bytes_skipped > 0
+
+    def test_warm_explore_is_served_from_channels(self):
+        spate = _typed_spate()
+        cold = spate.explore("CDR", ("downflux", "duration_s"), None, 20, 31)
+        reads = _count_reads(spate)
+        warm = spate.explore("CDR", ("downflux", "duration_s"), None, 20, 31)
+        assert warm.records == cold.records and warm.columns == cold.columns
+        assert reads == []
+        assert warm.scan_stats.channels_from_cache == 2 * warm.scan_stats.leaves_scanned
+        assert warm.scan_stats.bytes_decompressed == 0
+
+    def test_cache_off_disables_all_three_residencies(self):
+        spate = _typed_spate(leaf_cache_bytes=0)
+        assert spate.leaf_cache is None
+        assert spate._scan_context().cache_put_channels is None
+        reads = _count_reads(spate)
+        for __ in range(2):
+            spate.sql(SELECTIVE)
+            stats = spate.last_scan_stats
+            assert stats.cache_hits == 0
+            assert stats.header_cache_hits == 0
+            assert stats.channels_from_cache == 0
+        spate.explore("CDR", ("downflux",), None, 20, 31)
+        spate.read_table(20, "CDR")
+        spate.read_table(20, "CDR")
+        assert spate.metrics.leaf_cache_hits == 0
+        assert spate.metrics.leaf_cache_misses == 0
+        assert spate.metrics.query_header_cache_hits == 0
+        assert len(reads) >= 2 * 12  # every pass went back to the DFS
+
+    def test_cache_off_parses_each_header_once_per_scan(self, monkeypatch):
+        import repro.compression.typedchannel as typedchannel
+
+        spate = _typed_spate(leaf_cache_bytes=0)
+        calls = []
+        original = typedchannel.read_header
+
+        def counting(blob):
+            calls.append(1)
+            return original(blob)
+
+        from repro.query.sql.planner import ScanPredicate
+
+        monkeypatch.setattr(typedchannel, "read_header", counting)
+        spate.read_columns(
+            "CDR", 20, 31, columns=["duration_s"],
+            predicates=[ScanPredicate("duration_s", ">=", 400)],
+        )
+        stats = spate.last_scan_stats
+        assert stats.leaves_zone_pruned > 0 and stats.leaves_scanned > 0
+        # One parse per leaf: the gate's, reused by the decode.
+        assert len(calls) == stats.leaves_scanned + stats.leaves_zone_pruned == 12
+
+    def test_metrics_and_cache_counters_agree(self):
+        # Typed leaves (projected decodes that now enter the cache) ...
+        spate = _typed_spate()
+        for __ in range(2):
+            spate.sql(SELECTIVE)
+            spate.sql("SELECT * FROM NMS")
+            spate.explore("CDR", ("downflux",), None, 20, 31)
+            spate.read_table(21, "CDR")
+        cache = spate.leaf_cache.stats()
+        assert spate.metrics.leaf_cache_hits == cache.hits > 0
+        assert spate.metrics.leaf_cache_misses == cache.misses > 0
+        assert spate.metrics.leaf_cache_hit_rate == pytest.approx(cache.hit_rate)
+
+        # ... and projected columnar decodes that never do: every probe
+        # is a miss, counted at the probe (it used to go uncounted, so
+        # `spate metrics` reported an inflated hit rate).
+        generator = TelcoTraceGenerator(TraceConfig(scale=0.002, days=1, seed=11))
+        columnar = Spate(SpateConfig(
+            codec="gzip-ref", layout="columnar", executor="serial",
+            decay=DecayPolicyConfig(enabled=False),
+        ))
+        columnar.register_cells(generator.cells_table())
+        for epoch in range(3):
+            columnar.ingest(generator.snapshot(epoch))
+        for __ in range(2):
+            columnar.read_columns("CDR", 0, 2, columns=["duration_s"])
+        cache = columnar.leaf_cache.stats()
+        assert cache.hits == 0 and cache.misses == 6
+        assert columnar.metrics.leaf_cache_misses == cache.misses
+        assert columnar.metrics.leaf_cache_hits == cache.hits
+
+    def test_fungus_rewrite_drops_resident_header_and_channels(self):
+        spate = _typed_spate()
+        sql = "SELECT COUNT(*) AS n, SUM(duration_s) AS t FROM CDR"
+        before = spate.sql(sql, 20, 25).rows
+        # (Epoch 20 holds the schema probe's full Table instead.)
+        assert spate.leaf_cache.has_header(21, "CDR")
+        report = spate.decay_groups(older_than_epoch=26, keep_fraction=0.1)
+        assert 21 in report.rewritten_epochs
+        assert not spate.leaf_cache.has_header(21, "CDR")
+        assert spate.leaf_cache.resident_channels(21, "CDR") == set()
+        after = spate.sql(sql, 20, 25).rows
+        # The rewrite dropped records; stale channels would still count them.
+        assert int(after[0][0]) < int(before[0][0])
+
+    def test_residency_shows_in_explain_and_metrics_summary(self):
+        spate = _typed_spate()
+        spate.sql(SELECTIVE)
+        report = spate.explain(SELECTIVE)
+        assert "headers and" in report and "channels from cache" in report
+        summary = spate.metrics.summary()
+        assert "headers and" in summary and "channels from cache" in summary

@@ -397,3 +397,165 @@ class TestPruningIsDecaySafe:
         after = spate_day.explore("CDR", ("downflux",), None, 0, 47)
         assert spate_day.query_cache.hits == 1  # stale entry not served
         assert len(after.records) <= len(first.records)
+
+
+def observe(spate):
+    """Every read form a typed leaf's residency can serve: the column
+    scan (vectorized SQL), the row scan, and explore — over whatever is
+    stored right now.  Projected scans promise only the columns they
+    name (the rest are blank or real, depending on what served them)."""
+    last = max(spate.ingested_epochs(), default=0)
+    box = centered_box(spate.area, 0.1, 0.1, 0.6)
+    names, data = spate.read_columns(
+        "CDR", 0, last, columns=["cell_id", "duration_s"]
+    )
+    row_names, rows = spate.read_rows("CDR", 0, last, columns=["call_type"])
+    call_type = row_names.index("call_type") if rows else 0
+    return (
+        spate.sql(
+            "SELECT call_type, COUNT(*) AS n, SUM(duration_s) AS t "
+            "FROM CDR WHERE duration_s >= 60 GROUP BY call_type"
+        ).rows,
+        names,
+        [data[names.index(c)] for c in ("cell_id", "duration_s") if c in names],
+        spate.read_columns("NMS", 0, last),
+        row_names,
+        [row[call_type] for row in rows],
+        answer(spate.explore("CDR", ("downflux", "duration_s"), box, 0, last)),
+        answer(spate.explore("NMS", ("val",), None, 0, last)),
+    )
+
+
+class TestResidencySoundness:
+    """A typed leaf's parsed header and decoded channels live in the leaf
+    cache; a scan served from them must be indistinguishable from one
+    that re-reads and re-decodes every leaf, whatever rewrote, purged or
+    recovered the leaves in between."""
+
+    @staticmethod
+    def _config(codec: str, leaf_cache_bytes: int):
+        from repro.core import SpateConfig
+        from repro.core.config import (
+            AutotuneConfig,
+            DecayPolicyConfig,
+            DurabilityConfig,
+        )
+
+        return SpateConfig(
+            codec=codec, layout="columnar", executor="serial",
+            leaf_cache_bytes=leaf_cache_bytes,
+            decay=DecayPolicyConfig(enabled=True, keep_epochs=6),
+            durability=DurabilityConfig(enabled=True),
+            autotune=AutotuneConfig(recompact_after_epochs=2),
+        )
+
+    @pytest.mark.parametrize("codec", ["typedchannel", "auto"])
+    def test_property_warm_scan_equals_cache_off_scan(
+        self, tiny_generator, tiny_snapshots, codec
+    ):
+        from repro.core import Spate
+
+        configs = {
+            "warm": self._config(codec, 16 * 1024 * 1024),
+            "cold": self._config(codec, 0),
+        }
+
+        @given(
+            ops=st.lists(
+                st.sampled_from(
+                    ["ingest", "ingest", "decay", "fungus", "recompact", "reopen"]
+                ),
+                min_size=3,
+                max_size=9,
+            )
+        )
+        @settings(max_examples=6, deadline=None)
+        def run(ops):
+            stores = {}
+            for name, config in configs.items():
+                stores[name] = Spate(config)
+                stores[name].register_cells(tiny_generator.cells_table())
+            # The busy afternoon: leaves big enough for every codec to matter.
+            feed = iter(tiny_snapshots[24:])
+            for op in ["ingest", "ingest", *ops]:
+                if op == "ingest":
+                    snapshot = next(feed)
+                for name, spate in list(stores.items()):
+                    frontier = max(spate.ingested_epochs(), default=0)
+                    if op == "ingest":
+                        spate.ingest(snapshot)
+                    elif op == "decay":
+                        spate.run_decay()
+                    elif op == "fungus":
+                        spate.decay_groups(
+                            older_than_epoch=frontier, keep_fraction=0.5
+                        )
+                    elif op == "recompact":
+                        spate.recompact()
+                    else:  # kill: only the DFS survives
+                        stores[name] = Spate.open(configs[name], dfs=spate.dfs)
+                reference = observe(stores["cold"])
+                assert observe(stores["warm"]) == reference, (op, "filling")
+                assert observe(stores["warm"]) == reference, (op, "resident")
+            assert stores["cold"].leaf_cache is None
+
+        run()
+
+    def test_warm_typed_store_is_really_served_from_residency(
+        self, tiny_generator, tiny_snapshots
+    ):
+        from repro.core import Spate
+
+        spate = Spate(self._config("typedchannel", 16 * 1024 * 1024))
+        spate.register_cells(tiny_generator.cells_table())
+        for snapshot in tiny_snapshots[24:28]:
+            spate.ingest(snapshot)
+        first = observe(spate)
+        before = spate.metrics.query_bytes_decompressed
+        assert observe(spate) == first
+        assert spate.metrics.query_bytes_decompressed == before
+        assert spate.metrics.query_channels_from_cache > 0
+        assert spate.metrics.query_header_cache_hits > 0
+
+    def test_recompaction_to_another_codec_drops_header_and_channels(
+        self, tiny_generator, tiny_snapshots
+    ):
+        """The hazard: a typed-channel header left resident over a blob
+        recompaction rewrote under another codec would plan a channel
+        decode of bytes that are no longer channels."""
+        from repro.core import Spate, SpateConfig
+        from repro.core.config import AutotuneConfig, DecayPolicyConfig
+
+        spate = Spate(SpateConfig(
+            codec="typedchannel", layout="columnar", executor="serial",
+            decay=DecayPolicyConfig(enabled=False),
+            autotune=AutotuneConfig(
+                candidates=("gzip-ref", "bz2-ref"), recompact_after_epochs=2
+            ),
+        ))
+        spate.register_cells(tiny_generator.cells_table())
+        for snapshot in tiny_snapshots[24:30]:
+            spate.ingest(snapshot)
+        sql = "SELECT cell_id, COUNT(*) AS n FROM CDR GROUP BY cell_id"
+        reference = spate.sql(sql).rows
+        assert spate.sql(sql).rows == reference
+        cache = spate.leaf_cache
+        # (Epoch 24 holds the planner's schema probe as a full Table.)
+        assert cache.has_header(25, "CDR")
+        assert cache.resident_channels(25, "CDR") == {"cell_id"}
+
+        report = spate.recompact()
+        assert 25 in report.rewritten_epochs
+        assert spate.index.find_leaf(25).codec_for("CDR") != "typedchannel"
+        for epoch in report.rewritten_epochs:
+            assert not cache.has_header(epoch, "CDR")
+            assert cache.resident_channels(epoch, "CDR") == set()
+        # The rewritten leaves decode under their new codec; the young
+        # ones recompaction left alone are still served from residency.
+        assert spate.sql(sql).rows == reference
+        assert cache.has_header(29, "CDR")
+        # ... and a wider scan, which cannot be served from the resident
+        # channel alone, reads the new blobs and still agrees.
+        wide = "SELECT cell_id, SUM(duration_s) AS t FROM CDR GROUP BY cell_id"
+        spate.config = dataclasses.replace(spate.config, leaf_cache_bytes=0)
+        assert spate.sql(wide).columns == ["cell_id", "t"]

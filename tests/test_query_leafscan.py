@@ -23,12 +23,14 @@ from repro.compression import get_codec
 from repro.core.layout import serialize_table
 from repro.core.snapshot import Table
 from repro.query.leafscan import (
+    TASK_HEADER,
     ScanContext,
     ScanStats,
     decode_leaf_task,
+    parse_header,
     task_is_projected,
-    zone_map_prunes,
 )
+from repro.query.leafscan import zone_map_prunes as header_prunes
 from repro.query.sql.planner import ScanPredicate
 from repro.query.sql.values import predicate_passes
 
@@ -61,6 +63,14 @@ class TestScanStatsMerge:
         assert a.channel_bytes_skipped == 500
         assert a.wall_seconds == pytest.approx(0.75)
         assert a.task_seconds == pytest.approx(1.5)
+
+    def test_residency_counters_merge_and_describe(self):
+        a = self._stats(header_cache_hits=3, channels_from_cache=5)
+        a.merge(self._stats(header_cache_hits=1, channels_from_cache=2))
+        assert (a.header_cache_hits, a.channels_from_cache) == (4, 7)
+        assert "4 headers and 7 channels from cache" in a.describe()
+        assert "from cache)" in ScanStats().describe()  # the leaf count
+        assert "headers and" not in ScanStats().describe()
 
     def test_merge_keeps_single_backend(self):
         a = self._stats(backend="thread")
@@ -122,7 +132,19 @@ class TestScanStatsMerge:
 def typed_task(table: Table, layout: str = "columnar", columns=None):
     codec = get_codec("typedchannel")
     blob = codec.compress(serialize_table(table, layout))
-    return ("typedchannel", None, layout, table.name, blob, columns)
+    return blob_task("typedchannel", layout, table.name, blob, columns)
+
+
+def blob_task(codec_name, layout, table_name, blob, columns=None):
+    """A decode task as ``ScanContext.decode_task`` builds it: the
+    header is parsed once, there, and rides in the task."""
+    header = parse_header(blob) if codec_name == "typedchannel" else None
+    return (codec_name, None, layout, table_name, blob, columns, header)
+
+
+def zone_map_prunes(task, predicates=(), cell_filter=None):
+    """The gate as the scan runs it: over the task's carried header."""
+    return header_prunes(task[TASK_HEADER], predicates, cell_filter)
 
 
 def duration_table(values, extra_col=None) -> Table:
@@ -137,21 +159,22 @@ def duration_table(values, extra_col=None) -> Table:
 
 class TestZoneMapPrunes:
     def test_non_typedchannel_tasks_never_prune(self):
-        task = ("gzip-ref", None, "row", "CDR", b"whatever", None)
+        task = blob_task("gzip-ref", "row", "CDR", b"whatever")
         assert zone_map_prunes(
             task, [ScanPredicate("duration_s", "=", 1)]
         ) == (False, 0)
 
     def test_raw_mode_blob_never_prunes(self):
         codec = get_codec("typedchannel")
-        task = ("typedchannel", None, "row", "CDR",
-                codec.compress(b"not a table"), None)
+        task = blob_task(
+            "typedchannel", "row", "CDR", codec.compress(b"not a table")
+        )
         assert zone_map_prunes(
             task, [ScanPredicate("duration_s", "=", 1)]
         ) == (False, 0)
 
     def test_corrupt_blob_never_prunes_here(self):
-        task = ("typedchannel", None, "row", "CDR", b"garbage", None)
+        task = blob_task("typedchannel", "row", "CDR", b"garbage")
         assert zone_map_prunes(
             task, [ScanPredicate("duration_s", "=", 1)]
         ) == (False, 0)

@@ -286,3 +286,69 @@ class TestReadDuringIngest:
         assert all(r.ok for r in responses), [
             (r.error_code, r.error) for r in responses if not r.ok
         ]
+
+
+class TestSharedResidentChannels:
+    def test_readers_never_mutate_shared_cell_lists(
+        self, tiny_generator, tiny_snapshots
+    ):
+        """A typed leaf's decoded channels are cached as the very lists
+        every reader is handed.  Two readers hammering every read form
+        over a warm store must get the cold answers every time, and
+        leave each resident list the same object with the same cells."""
+        import sys
+
+        spate = Spate(SpateConfig(
+            codec="typedchannel", layout="columnar", executor="serial",
+        ))
+        spate.register_cells(tiny_generator.cells_table())
+        for snapshot in tiny_snapshots[24:32]:
+            spate.ingest(snapshot)
+
+        def read_all():
+            by_epoch = spate.read_columns_by_epoch(
+                "CDR", 24, 31, columns=["cell_id", "duration_s"]
+            )
+            return (
+                spate.sql(
+                    "SELECT cell_id, COUNT(*) AS n, SUM(duration_s) AS t "
+                    "FROM CDR WHERE duration_s >= 30 GROUP BY cell_id"
+                ).rows,
+                by_epoch,
+                spate.read_columns("CDR", 24, 31, columns=["cell_id"]),
+                spate.read_rows("CDR", 24, 31, columns=["duration_s"]),
+                spate.explore(
+                    "CDR", ("duration_s", "downflux"), None, 24, 31
+                ).records,
+            )
+
+        read_all()  # fills the cache
+        # (Steady state from here on; the first pass saw blanks where the
+        # planner's schema probe has since left a full Table resident.)
+        reference = read_all()
+        assert read_all() == reference
+        resident = {
+            key: (entry[0], list(entry[0]))
+            for key, entry in spate.leaf_cache._entries.items()
+            if len(key) == 3 and key[2] is not None
+        }
+        assert len(resident) >= 8 * 2
+        served = spate.metrics.query_channels_from_cache
+
+        def reader(index: int) -> None:
+            for __ in range(15):
+                assert read_all() == reference
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            run_threads(reader, n=2)
+        finally:
+            sys.setswitchinterval(interval)
+        assert spate.metrics.query_channels_from_cache > served
+        for key, (cells, frozen) in resident.items():
+            assert spate.leaf_cache._entries[key][0] is cells, key
+            assert cells == frozen, key
+        stats = spate.leaf_cache.stats()
+        assert spate.metrics.leaf_cache_hits == stats.hits
+        assert spate.metrics.leaf_cache_misses == stats.misses
