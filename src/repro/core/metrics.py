@@ -148,11 +148,11 @@ class WarehouseMetrics:
     query_cache_hits: int = 0
     query_cache_misses: int = 0
 
-    #: SQL engine mix (vectorized batch engine vs row-at-a-time
-    #: fallback) and total result rows returned.
-    sql_queries_vectorized: int = 0
-    sql_queries_row: int = 0
+    #: SQL statements executed and total result rows returned.
+    sql_queries: int = 0
     sql_rows_returned: int = 0
+    #: Always 0 (there is no row engine); benchmarks/ledger reads it.
+    sql_queries_row: int = 0
 
     #: Adaptive codec selection (codec="auto") counters, mirrored from
     #: the selector's telemetry via :meth:`sync_autotune`.
@@ -365,13 +365,10 @@ class WarehouseMetrics:
                 else:
                     self.query_scan_backend = stats.backend
 
-    def on_sql_execution(self, engine: str, rows: int) -> None:
-        """Record one SQL statement's engine choice and result size."""
+    def on_sql_execution(self, rows: int) -> None:
+        """Record one SQL statement and its result size."""
         with self._lock:
-            if engine == "vectorized":
-                self.sql_queries_vectorized += 1
-            else:
-                self.sql_queries_row += 1
+            self.sql_queries += 1
             self.sql_rows_returned += rows
 
     def on_query_cache(self, hit: bool) -> None:
@@ -579,10 +576,9 @@ class WarehouseMetrics:
                 f"  query result cache:    {self.query_cache_hits} hits / "
                 f"{self.query_cache_misses} misses"
             )
-        if self.sql_queries_vectorized or self.sql_queries_row:
+        if self.sql_queries:
             lines.append(
-                f"  sql engine:            {self.sql_queries_vectorized} vectorized / "
-                f"{self.sql_queries_row} row, "
+                f"  sql queries:           {self.sql_queries}, "
                 f"{self.sql_rows_returned:,} rows returned"
             )
         if self.autotune_payloads_scored:

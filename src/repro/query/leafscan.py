@@ -398,8 +398,8 @@ def resident_columns(header, channels: dict) -> tuple[list[str], list[list[str]]
 
 
 def resident_table(name: str, header, channels: dict) -> Table:
-    """Row form of :func:`resident_columns`, for the row-engine scan and
-    explore: the same projected table a decode would have returned."""
+    """Row form of :func:`resident_columns`, for the row scan
+    (``read_rows``) and explore: the same projected table a decode would have returned."""
     from repro.compression.typedchannel import table_from_columns
 
     return table_from_columns(

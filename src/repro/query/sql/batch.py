@@ -1,4 +1,4 @@
-"""Column-batch building blocks for the vectorized SQL engine.
+"""Column-batch building blocks for the SQL engine.
 
 A :class:`ColumnBatch` is one base table held column-major: a list of
 cell lists, one per column, plus the lazily computed views the kernels
@@ -8,13 +8,13 @@ COL1 leaves into batches without ever materializing row tuples) or
 from transposing a row loader's output once at scan time.
 
 A :class:`Relation` is an intermediate result over one or more base
-batches: instead of copying cells row by row the way the row engine
-does, it keeps per-base-table *row index* vectors (``-1`` marks a
-NULL-extended side of a left join) and gathers an output column only
-when an expression actually reads it.  Filters and joins therefore
-move integers around, not cell strings — the late materialization that
-makes the batch pipeline fast while staying byte-identical to the row
-engine's output order.
+batches: instead of copying cells row by row it keeps per-base-table
+*row index* vectors (``-1`` marks a NULL-extended side of a left join)
+and gathers an output column only when an expression actually reads
+it.  Filters and joins therefore move integers around, not cell
+strings — the late materialization that makes the pipeline fast, while
+the index vectors record exactly the provenance the output-order rule
+(:mod:`repro.query.sql.vectorized`) is stated in.
 """
 
 from __future__ import annotations
@@ -77,8 +77,8 @@ _IDENTITY = None  # sentinel: Relation covers every row of its single base
 class Relation:
     """An intermediate row set as index vectors over base batches.
 
-    ``fields`` mirrors the row engine's ``_Scope.fields`` — the
-    (binding, column) schema in field order.  ``field_map[i]`` locates
+    ``fields`` mirrors ``_Scope.fields`` — the (binding, column)
+    schema in field order.  ``field_map[i]`` locates
     field ``i`` as ``(table_position, column_position)`` in ``tables``.
 
     ``rows`` is either ``None`` (identity: every row of the single base
@@ -102,8 +102,8 @@ class Relation:
         self.field_map = field_map
         self.rows = rows
         #: Syntactic position of each base table in the FROM clause —
-        #: what the planner sorts provenance by to restore the row
-        #: engine's output order after a cost-based join reorder.
+        #: what the planner sorts provenance by to restore syntactic
+        #: output order after a cost-based join reorder.
         self.table_ids = table_ids if table_ids is not None else list(range(len(tables)))
         self._cols: dict[int, list] = {}
 
@@ -169,12 +169,6 @@ class Relation:
             return [(i,) for i in range(self.tables[0].length)]
         return self.rows
 
-    def out_row(self, position: int) -> list:
-        """One fully materialized row — the slow path, used only for
-        the rare per-row escapes (scalar functions with row-dependent
-        errors are evaluated column-wise anyway)."""
-        return [self.column(f)[position] for f in range(len(self.fields))]
-
 
 def join_relations(
     left: Relation, right: Relation, pairs: list[tuple[int, ...]]
@@ -182,7 +176,7 @@ def join_relations(
     """Combine two relations into one whose rows are ``pairs`` of
     (left position, right position); ``-1`` as the right position
     NULL-extends (left join).  Field order is left fields then right
-    fields, matching the row engine's combined scope."""
+    fields, matching the combined scope."""
     fields = left.fields + right.fields
     tables = left.tables + right.tables
     offset = len(left.tables)

@@ -22,7 +22,7 @@ Join ordering (:func:`choose_join_order`) is greedy smallest-next over
 the connectivity graph: start from the smallest input, repeatedly pick
 the connected table minimizing the estimated intermediate result, with
 syntactic position as the deterministic tie-break.  The executor sorts
-join output back into the row engine's syntactic order afterwards, so
+join output back into syntactic (FROM-clause) order afterwards, so
 ordering is purely a cost decision — it can never change answers.
 """
 

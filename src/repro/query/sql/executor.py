@@ -1,10 +1,12 @@
-"""SQL execution engine.
+"""SQL catalog, scan planning and EXPLAIN.
 
-Plans and runs a parsed :class:`~repro.query.sql.ast.SelectStatement`
-against registered tables.  Plan shape follows the classic pipeline:
-FROM (scans + joins, hash-join for equi-conditions) -> WHERE ->
-GROUP BY/aggregate -> HAVING -> projection -> DISTINCT -> ORDER BY ->
-LIMIT.
+:class:`Database` holds the registered tables and their column loaders,
+derives each statement's scan pushdown hints, and runs the parsed
+:class:`~repro.query.sql.ast.SelectStatement` through the column-batch
+executor (:mod:`repro.query.sql.vectorized`).  Plan shape follows the
+classic pipeline: FROM (scans + joins, hash-join for equi-conditions)
+-> WHERE -> GROUP BY/aggregate -> HAVING -> projection -> DISTINCT ->
+ORDER BY -> LIMIT.
 
 Value semantics: table cells are strings; comparisons coerce both sides
 to numbers when both parse, otherwise compare as strings.  Empty string
@@ -22,7 +24,6 @@ from typing import Any, Callable, Optional
 
 from repro.errors import QueryDeadlineError, QueryError, SqlPlanError
 from repro.query.sql.ast import (
-    AGGREGATE_FUNCTIONS,
     Between,
     CaseExpression,
     BinaryOp,
@@ -34,10 +35,6 @@ from repro.query.sql.ast import (
     IsNull,
     Join,
     Like,
-    Literal,
-    OrderItem,
-    ScalarSubquery,
-    SelectItem,
     SelectStatement,
     Star,
     SubqueryRef,
@@ -53,15 +50,6 @@ from repro.query.sql.cost import (
     predicate_selectivity,
 )
 from repro.query.sql.parser import parse_sql
-from repro.query.sql.values import (
-    as_number as values_as_number,
-    compare_values as values_compare,
-    hashable_key as values_hashable_key,
-    is_null as values_is_null,
-    is_truthy as values_is_truthy,
-    null_safe_key as values_null_safe_key,
-    sort_key as values_sort_key,
-)
 from repro.query.sql.planner import (
     _simple_comparison,
     collect_column_names,
@@ -152,11 +140,6 @@ class Database:
         #: per-query pushdown hints: table -> (predicates, columns).
         self._scan_hints: dict[str, tuple[list, Optional[set[str]]]] = {}
         self._stage_marks: list[tuple[str, float]] | None = None
-        #: Engine selection: True routes supported statements through the
-        #: column-batch pipeline (:mod:`repro.query.sql.vectorized`);
-        #: statements it cannot cover (any subquery) fall back to the
-        #: row path before any scan runs.
-        self.vectorized = True
         #: table name -> zero-copy column loader (frameworks exposing
         #: ``read_columns`` feed batches without row materialization).
         self._batch_loaders: dict[str, Callable[[], Any]] = {}
@@ -169,11 +152,9 @@ class Database:
         #: table name -> lazy TableStats provider / memoized result.
         self._stats_providers: dict[str, Callable[[], Any]] = {}
         self._stats_cache: dict[str, Any] = {}
-        #: What the last :meth:`execute` ran: ``{"engine", "fallback"}``.
-        self.last_execution: dict[str, Any] = {}
-        #: Cardinality/plan records from the last vectorized execution.
+        #: Cardinality/plan records from the last execution.
         self.last_profile: list[dict] = []
-        #: Optional WarehouseMetrics sink for per-engine query counters.
+        #: Optional WarehouseMetrics sink for the SQL query counters.
         self.metrics: Any = None
 
     def register_table(
@@ -181,8 +162,8 @@ class Database:
     ) -> None:
         """Register a materialized table (name lookup is case-insensitive).
 
-        Rows are treated as immutable once registered — the vectorized
-        engine caches their columnar transpose; re-register to replace.
+        Rows are treated as immutable once registered — the executor
+        caches their columnar transpose; re-register to replace.
         """
         materialized = rows
         upper = name.upper()
@@ -367,7 +348,6 @@ class Database:
         self,
         sql: str | SelectStatement,
         deadline_ms: int | None = None,
-        vectorized: bool | None = None,
     ) -> QueryResult:
         """Parse (if needed) and run a SELECT statement.
 
@@ -376,44 +356,23 @@ class Database:
                 it at stage boundaries (scan/join, aggregation, sort)
                 and raises :class:`~repro.errors.QueryDeadlineError`
                 when exceeded.
-            vectorized: override the database's engine default for this
-                statement.  The two engines return byte-identical
-                results; the flag exists for differential testing and
-                diagnosis.
         """
-        statement = parse_sql(sql) if isinstance(sql, str) else sql
-        use_batches = self.vectorized if vectorized is None else vectorized
-        self.last_profile = []
-        reason = None
-        if use_batches:
-            from repro.query.sql.vectorized import unsupported_reason
+        from repro.query.sql.vectorized import VectorizedExecutor
 
-            reason = unsupported_reason(statement)
-            if reason is not None:
-                use_batches = False
-        self.last_execution = {
-            "engine": "vectorized" if use_batches else "row",
-            "fallback": reason,
-        }
+        statement = parse_sql(sql) if isinstance(sql, str) else sql
+        self.last_profile = []
         self._plan_scan_hints(statement)
         if deadline_ms is not None and deadline_ms > 0:
             self._deadline_expires = time.monotonic() + deadline_ms / 1000.0
         try:
-            if use_batches:
-                from repro.query.sql.vectorized import VectorizedExecutor
-
-                engine = VectorizedExecutor(self)
-                result = engine.execute(statement)
-                self.last_profile = engine.profile
-            else:
-                result = self._execute_select(statement)
+            engine = VectorizedExecutor(self)
+            result = engine.execute(statement)
+            self.last_profile = engine.profile
         finally:
             self._deadline_expires = None
             self._scan_hints = {}
         if self.metrics is not None:
-            self.metrics.on_sql_execution(
-                self.last_execution["engine"], len(result.rows)
-            )
+            self.metrics.on_sql_execution(len(result.rows))
         return result
 
     def _plan_scan_hints(self, stmt: SelectStatement) -> None:
@@ -562,12 +521,6 @@ class Database:
         finally:
             self._stage_marks = None
         lines = [self.explain(stmt), "", f"Actual: {len(result.rows)} rows"]
-        engine = self.last_execution.get("engine", "row")
-        fallback = self.last_execution.get("fallback")
-        lines.append(
-            f"  engine: {engine}"
-            + (f" (fallback: {fallback})" if fallback else "")
-        )
         for entry in self.last_profile:
             if "note" in entry:
                 lines.append(f"  plan {entry['label']}: {entry['note']}")
@@ -795,164 +748,6 @@ class Database:
                 columns.append(item.alias or str(item.expression))
         return columns
 
-    # ------------------------------------------------------------------
-    # Execution pipeline
-    # ------------------------------------------------------------------
-
-    def _execute_select(self, stmt: SelectStatement) -> QueryResult:
-        if stmt.unions:
-            return self._execute_union(stmt)
-        if stmt.from_item is not None:
-            # Predicate pushdown: split the WHERE conjunction and let
-            # each FROM source consume the conjuncts it can evaluate,
-            # so single-table filters run *below* joins.
-            conjuncts = _split_conjuncts(stmt.where)
-            # A conjunct may only be pushed when it resolves against the
-            # *full* FROM scope: an ambiguous bare column must surface
-            # as an error, not silently bind inside one join side.
-            full_scope = self._scope_of(stmt.from_item)
-            pushable = [
-                c
-                for c in conjuncts
-                if not contains_aggregate(c) and self._resolvable(c, full_scope)
-            ]
-            blocked = [c for c in conjuncts if c not in pushable]
-            scope, rows, leftover = self._execute_from_filtered(
-                stmt.from_item, pushable
-            )
-            self._check_deadline("scan/join")
-            for predicate in leftover + blocked:
-                rows = [
-                    r for r in rows if _truthy(self._eval(predicate, r, scope))
-                ]
-            self._check_deadline("filter")
-        else:
-            scope, rows = _Scope(), [[]]
-            if stmt.where is not None:
-                rows = [
-                    r for r in rows if _truthy(self._eval(stmt.where, r, scope))
-                ]
-
-        grouped = bool(stmt.group_by) or any(
-            contains_aggregate(item.expression) for item in stmt.items
-        ) or (stmt.having is not None)
-
-        if grouped:
-            out_columns, out_rows = self._grouped_projection(stmt, scope, rows)
-        else:
-            out_columns, out_rows = self._plain_projection(stmt.items, scope, rows)
-        self._check_deadline("aggregation/projection")
-
-        if stmt.distinct:
-            seen: set[tuple] = set()
-            deduped = []
-            for row in out_rows:
-                key = tuple(row)
-                if key not in seen:
-                    seen.add(key)
-                    deduped.append(row)
-            out_rows = deduped
-
-        if stmt.order_by:
-            self._check_deadline("sort")
-            out_rows = self._order(stmt, scope, out_columns, out_rows, rows, grouped)
-
-        if stmt.limit is not None:
-            out_rows = out_rows[: stmt.limit]
-
-        return QueryResult(columns=out_columns, rows=out_rows)
-
-    def _execute_union(self, stmt: SelectStatement) -> QueryResult:
-        """Run a UNION chain: branches concatenated, set semantics unless
-        every link was UNION ALL; trailing ORDER BY/LIMIT apply to the
-        combined result by output column or ordinal."""
-        import copy
-
-        head = copy.copy(stmt)
-        head.unions = []
-        head.order_by = []
-        head.limit = None
-        result = self._execute_select(head)
-        columns = result.columns
-        rows = list(result.rows)
-        dedup = False
-        for branch, keep_duplicates in stmt.unions:
-            branch_result = self._execute_select(branch)
-            if len(branch_result.columns) != len(columns):
-                raise SqlPlanError(
-                    f"UNION branches have {len(columns)} vs "
-                    f"{len(branch_result.columns)} columns"
-                )
-            rows.extend(branch_result.rows)
-            if not keep_duplicates:
-                dedup = True
-        if dedup:
-            seen: set[tuple] = set()
-            unique = []
-            for row in rows:
-                key = tuple(_null_safe(c) for c in row)
-                if key not in seen:
-                    seen.add(key)
-                    unique.append(row)
-            rows = unique
-        if stmt.order_by:
-            indexes = []
-            for order in stmt.order_by:
-                expr = order.expression
-                if isinstance(expr, ColumnRef) and expr.table is None and expr.name in columns:
-                    indexes.append((columns.index(expr.name), order.ascending))
-                elif isinstance(expr, Literal) and isinstance(expr.value, int):
-                    if not 1 <= expr.value <= len(columns):
-                        raise SqlPlanError(
-                            f"ORDER BY position {expr.value} out of range"
-                        )
-                    indexes.append((expr.value - 1, order.ascending))
-                else:
-                    raise SqlPlanError(
-                        "ORDER BY on UNION must reference output columns"
-                    )
-            rows.sort(
-                key=lambda row: [
-                    _sortable(row[i], asc) for i, asc in indexes
-                ]
-            )
-        if stmt.limit is not None:
-            rows = rows[: stmt.limit]
-        return QueryResult(columns=columns, rows=rows)
-
-    # ------------------------------------------------------------------
-    # FROM
-    # ------------------------------------------------------------------
-
-    def _execute_from_filtered(
-        self, item: FromItem, conjuncts: list[Expression]
-    ) -> tuple[_Scope, list[list[Any]], list[Expression]]:
-        """Execute a FROM source, consuming the WHERE conjuncts that are
-        fully resolvable against it.  Returns (scope, rows, leftover)."""
-        if isinstance(item, Join) and item.kind != "left":
-            # Left joins can't take pushdown on the right side (a filter
-            # below the join changes which rows get NULL-extended), so
-            # only inner/cross joins participate.
-            left_scope, left_rows, conjuncts = self._execute_from_filtered(
-                item.left, conjuncts
-            )
-            right_scope, right_rows, conjuncts = self._execute_from_filtered(
-                item.right, conjuncts
-            )
-            scope, rows = self._join_materialized(
-                item, left_scope, left_rows, right_scope, right_rows
-            )
-        else:
-            scope, rows = self._execute_from(item)
-        applicable = []
-        leftover = []
-        for predicate in conjuncts:
-            target = applicable if self._resolvable(predicate, scope) else leftover
-            target.append(predicate)
-        for predicate in applicable:
-            rows = [r for r in rows if _truthy(self._eval(predicate, r, scope))]
-        return scope, rows, leftover
-
     def _resolvable(self, expr: Expression, scope: _Scope) -> bool:
         """True when every column reference in ``expr`` binds uniquely in
         ``scope`` (subqueries are self-contained and always fine)."""
@@ -990,77 +785,6 @@ class Database:
             return all(self._resolvable(e, scope) for e in parts)
         return True  # literals, scalar subqueries
 
-    def _execute_from(self, item: FromItem) -> tuple[_Scope, list[list[Any]]]:
-        if isinstance(item, TableRef):
-            upper = item.name.upper()
-            if upper not in self._tables:
-                raise SqlPlanError(f"unknown table {item.name!r}")
-            columns, loader = self._tables[upper]
-            scope = _Scope(fields=[(item.binding, c) for c in columns])
-            return scope, [list(r) for r in loader()]
-        if isinstance(item, SubqueryRef):
-            inner = self._execute_select(item.select)
-            scope = _Scope(fields=[(item.alias, c) for c in inner.columns])
-            return scope, inner.rows
-        if isinstance(item, Join):
-            return self._execute_join(item)
-        raise SqlPlanError(f"unsupported FROM item {item!r}")
-
-    def _execute_join(self, join: Join) -> tuple[_Scope, list[list[Any]]]:
-        left_scope, left_rows = self._execute_from(join.left)
-        right_scope, right_rows = self._execute_from(join.right)
-        return self._join_materialized(
-            join, left_scope, left_rows, right_scope, right_rows
-        )
-
-    def _join_materialized(
-        self,
-        join: Join,
-        left_scope: _Scope,
-        left_rows: list[list[Any]],
-        right_scope: _Scope,
-        right_rows: list[list[Any]],
-    ) -> tuple[_Scope, list[list[Any]]]:
-        scope = _Scope(fields=left_scope.fields + right_scope.fields)
-
-        if join.kind == "cross":
-            rows = [lrow + r for lrow in left_rows for r in right_rows]
-            return scope, rows
-
-        equi = self._equi_join_keys(join.condition, left_scope, right_scope)
-        out: list[list[Any]] = []
-        if equi is not None:
-            left_idx, right_idx = equi
-            index: dict[Any, list[list[Any]]] = {}
-            for r in right_rows:
-                index.setdefault(_null_safe(r[right_idx]), []).append(r)
-            for lrow in left_rows:
-                matches = index.get(_null_safe(lrow[left_idx]), [])
-                matched = False
-                for r in matches:
-                    combined = lrow + r
-                    if join.condition is None or _truthy(
-                        self._eval(join.condition, combined, scope)
-                    ):
-                        out.append(combined)
-                        matched = True
-                if not matched and join.kind == "left":
-                    out.append(lrow + [None] * len(right_scope.fields))
-            return scope, out
-
-        for lrow in left_rows:
-            matched = False
-            for r in right_rows:
-                combined = lrow + r
-                if join.condition is None or _truthy(
-                    self._eval(join.condition, combined, scope)
-                ):
-                    out.append(combined)
-                    matched = True
-            if not matched and join.kind == "left":
-                out.append(lrow + [None] * len(right_scope.fields))
-        return scope, out
-
     @staticmethod
     def _equi_join_keys(
         condition: Optional[Expression], left: _Scope, right: _Scope
@@ -1084,299 +808,6 @@ class Database:
             return li, ri
         except SqlPlanError:
             return None
-
-    # ------------------------------------------------------------------
-    # Projection
-    # ------------------------------------------------------------------
-
-    def _plain_projection(
-        self, items: list[SelectItem], scope: _Scope, rows: list[list[Any]]
-    ) -> tuple[list[str], list[list[Any]]]:
-        columns: list[str] = []
-        evaluators: list[Callable[[list[Any]], Any]] = []
-        for item in items:
-            if isinstance(item.expression, Star):
-                for idx in scope.star_indexes(item.expression.table):
-                    columns.append(scope.fields[idx][1])
-                    evaluators.append(lambda row, i=idx: row[i])
-            else:
-                columns.append(item.alias or str(item.expression))
-                expr = item.expression
-                evaluators.append(lambda row, e=expr: self._eval(e, row, scope))
-        out = [[fn(row) for fn in evaluators] for row in rows]
-        return columns, out
-
-    def _grouped_projection(
-        self, stmt: SelectStatement, scope: _Scope, rows: list[list[Any]]
-    ) -> tuple[list[str], list[list[Any]]]:
-        keys = stmt.group_by
-        groups: dict[tuple, list[list[Any]]] = {}
-        if keys:
-            for row in rows:
-                sig = tuple(_hashable(self._eval(k, row, scope)) for k in keys)
-                groups.setdefault(sig, []).append(row)
-        else:
-            groups[()] = rows  # implicit single group (pure aggregates)
-
-        columns: list[str] = []
-        aliases: dict[str, Expression] = {}
-        for item in stmt.items:
-            if isinstance(item.expression, Star):
-                raise SqlPlanError("SELECT * is invalid with GROUP BY")
-            columns.append(item.alias or str(item.expression))
-            if item.alias:
-                aliases[item.alias] = item.expression
-
-        having = (
-            _substitute_aliases(stmt.having, aliases)
-            if stmt.having is not None
-            else None
-        )
-        out: list[list[Any]] = []
-        for __, group_rows in sorted(groups.items(), key=lambda kv: kv[0]):
-            if having is not None and not _truthy(
-                self._eval_grouped(having, group_rows, scope)
-            ):
-                continue
-            out.append(
-                [
-                    self._eval_grouped(item.expression, group_rows, scope)
-                    for item in stmt.items
-                ]
-            )
-        return columns, out
-
-    def _order(
-        self,
-        stmt: SelectStatement,
-        scope: _Scope,
-        out_columns: list[str],
-        out_rows: list[list[Any]],
-        base_rows: list[list[Any]],
-        grouped: bool,
-    ) -> list[list[Any]]:
-        """ORDER BY over aliases/projections, falling back to base columns
-        for non-grouped queries."""
-
-        def sort_key(indexed: tuple[int, list[Any]]):
-            i, row = indexed
-            key = []
-            for order in stmt.order_by:
-                value = self._order_value(order, row, out_columns, scope, base_rows, i, grouped)
-                key.append(_sortable(value, order.ascending))
-            return key
-
-        decorated = sorted(enumerate(out_rows), key=sort_key)
-        return [row for __, row in decorated]
-
-    def _order_value(
-        self,
-        order: OrderItem,
-        out_row: list[Any],
-        out_columns: list[str],
-        scope: _Scope,
-        base_rows: list[list[Any]],
-        position: int,
-        grouped: bool,
-    ) -> Any:
-        expr = order.expression
-        if isinstance(expr, ColumnRef) and expr.table is None and expr.name in out_columns:
-            return out_row[out_columns.index(expr.name)]
-        if isinstance(expr, Literal) and isinstance(expr.value, int):
-            # ORDER BY <ordinal>
-            ordinal = expr.value
-            if not 1 <= ordinal <= len(out_columns):
-                raise SqlPlanError(f"ORDER BY position {ordinal} out of range")
-            return out_row[ordinal - 1]
-        if grouped:
-            raise SqlPlanError(
-                "ORDER BY on grouped queries must reference output columns"
-            )
-        return self._eval(expr, base_rows[position], scope)
-
-    # ------------------------------------------------------------------
-    # Expression evaluation
-    # ------------------------------------------------------------------
-
-    def _eval(self, expr: Expression, row: list[Any], scope: _Scope) -> Any:
-        if isinstance(expr, Literal):
-            return expr.value
-        if isinstance(expr, ColumnRef):
-            return row[scope.resolve(expr)]
-        if isinstance(expr, UnaryOp):
-            if expr.op == "NOT":
-                return not _truthy(self._eval(expr.operand, row, scope))
-            value = _number(self._eval(expr.operand, row, scope))
-            return -value if value is not None else None
-        if isinstance(expr, BinaryOp):
-            return self._eval_binary(expr, row, scope)
-        if isinstance(expr, Between):
-            value = self._eval(expr.operand, row, scope)
-            low = self._eval(expr.low, row, scope)
-            high = self._eval(expr.high, row, scope)
-            # NULL on any operand fails BETWEEN and NOT BETWEEN alike
-            # (the PR-9 values audit; previously str(None) was compared
-            # lexicographically, disagreeing with every other predicate).
-            if _is_null(value) or _is_null(low) or _is_null(high):
-                return False
-            hit = _compare(value, low) >= 0 and _compare(value, high) <= 0
-            return hit != expr.negated
-        if isinstance(expr, InList):
-            value = self._eval(expr.operand, row, scope)
-            if expr.subquery is not None:
-                inner = self._execute_select(expr.subquery)
-                if len(inner.columns) != 1:
-                    raise SqlPlanError("IN subquery must yield one column")
-                pool = {_null_safe(r[0]) for r in inner.rows}
-            else:
-                pool = {_null_safe(self._eval(i, row, scope)) for i in expr.items}
-            return (_null_safe(value) in pool) != expr.negated
-        if isinstance(expr, Like):
-            value = self._eval(expr.operand, row, scope)
-            if value is None:
-                return False
-            regex = _like_to_regex(expr.pattern)
-            return bool(regex.fullmatch(str(value))) != expr.negated
-        if isinstance(expr, IsNull):
-            value = self._eval(expr.operand, row, scope)
-            null = value is None or value == ""
-            return null != expr.negated
-        if isinstance(expr, CaseExpression):
-            for condition, value in expr.branches:
-                if _truthy(self._eval(condition, row, scope)):
-                    return self._eval(value, row, scope)
-            if expr.default is not None:
-                return self._eval(expr.default, row, scope)
-            return None
-        if isinstance(expr, ScalarSubquery):
-            inner = self._execute_select(expr.select)
-            if len(inner.columns) != 1:
-                raise SqlPlanError("scalar subquery must yield one column")
-            if len(inner.rows) > 1:
-                raise QueryError("scalar subquery returned more than one row")
-            return inner.rows[0][0] if inner.rows else None
-        if isinstance(expr, FunctionCall):
-            if expr.name in AGGREGATE_FUNCTIONS:
-                raise SqlPlanError(
-                    f"aggregate {expr.name} outside GROUP BY context"
-                )
-            return self._eval_scalar_function(expr, row, scope)
-        if isinstance(expr, Star):
-            raise SqlPlanError("* is only valid in SELECT or COUNT(*)")
-        raise SqlPlanError(f"unsupported expression {expr!r}")
-
-    def _eval_binary(self, expr: BinaryOp, row: list[Any], scope: _Scope) -> Any:
-        if expr.op == "AND":
-            return _truthy(self._eval(expr.left, row, scope)) and _truthy(
-                self._eval(expr.right, row, scope)
-            )
-        if expr.op == "OR":
-            return _truthy(self._eval(expr.left, row, scope)) or _truthy(
-                self._eval(expr.right, row, scope)
-            )
-        left = self._eval(expr.left, row, scope)
-        right = self._eval(expr.right, row, scope)
-        if expr.op in ("=", "!=", "<", "<=", ">", ">="):
-            if _is_null(left) or _is_null(right):
-                return False
-            cmp = _compare(left, right)
-            return {
-                "=": cmp == 0,
-                "!=": cmp != 0,
-                "<": cmp < 0,
-                "<=": cmp <= 0,
-                ">": cmp > 0,
-                ">=": cmp >= 0,
-            }[expr.op]
-        ln = _number(left)
-        rn = _number(right)
-        if ln is None or rn is None:
-            return None
-        if expr.op == "+":
-            return ln + rn
-        if expr.op == "-":
-            return ln - rn
-        if expr.op == "*":
-            return ln * rn
-        if expr.op == "/":
-            if rn == 0:
-                return None
-            return ln / rn
-        if expr.op == "%":
-            if rn == 0:
-                return None
-            return ln % rn
-        raise SqlPlanError(f"unsupported operator {expr.op!r}")
-
-    def _eval_scalar_function(
-        self, expr: FunctionCall, row: list[Any], scope: _Scope
-    ) -> Any:
-        from repro.query.sql.functions import SCALAR_FUNCTIONS
-
-        func = SCALAR_FUNCTIONS.get(expr.name)
-        if func is None:
-            raise SqlPlanError(f"unknown function {expr.name!r}")
-        args = [self._eval(a, row, scope) for a in expr.args]
-        return func(*args)
-
-    def _eval_grouped(
-        self, expr: Expression, group_rows: list[list[Any]], scope: _Scope
-    ) -> Any:
-        if isinstance(expr, FunctionCall) and expr.name in AGGREGATE_FUNCTIONS:
-            return self._eval_aggregate(expr, group_rows, scope)
-        if isinstance(expr, BinaryOp):
-            if expr.op in ("AND", "OR"):
-                left = self._eval_grouped(expr.left, group_rows, scope)
-                right_lazy = lambda: self._eval_grouped(expr.right, group_rows, scope)
-                if expr.op == "AND":
-                    return _truthy(left) and _truthy(right_lazy())
-                return _truthy(left) or _truthy(right_lazy())
-            left = self._eval_grouped(expr.left, group_rows, scope)
-            right = self._eval_grouped(expr.right, group_rows, scope)
-            synthetic = BinaryOp(op=expr.op, left=Literal(left), right=Literal(right))
-            return self._eval_binary(synthetic, [], scope)
-        if isinstance(expr, UnaryOp):
-            inner = self._eval_grouped(expr.operand, group_rows, scope)
-            if expr.op == "NOT":
-                return not _truthy(inner)
-            value = _number(inner)
-            return -value if value is not None else None
-        # Non-aggregate leaf: evaluate against the group's first row
-        # (must be functionally dependent on the group key, as in SQL).
-        representative = group_rows[0] if group_rows else []
-        return self._eval(expr, representative, scope)
-
-    def _eval_aggregate(
-        self, expr: FunctionCall, group_rows: list[list[Any]], scope: _Scope
-    ) -> Any:
-        if expr.name == "COUNT" and (not expr.args or isinstance(expr.args[0], Star)):
-            return len(group_rows)
-        if len(expr.args) != 1:
-            raise SqlPlanError(f"{expr.name} takes exactly one argument")
-        values = [
-            self._eval(expr.args[0], row, scope)
-            for row in group_rows
-        ]
-        values = [v for v in values if not _is_null(v)]
-        if expr.distinct:
-            values = list(dict.fromkeys(values))
-        if expr.name == "COUNT":
-            return len(values)
-        if not values:
-            return None
-        if expr.name in ("SUM", "AVG"):
-            numbers = [n for n in (_number(v) for v in values) if n is not None]
-            if not numbers:
-                return None
-            total = sum(numbers)
-            return total if expr.name == "SUM" else total / len(numbers)
-        # MIN / MAX use SQL comparison semantics.
-        best = values[0]
-        for value in values[1:]:
-            cmp = _compare(value, best)
-            if (expr.name == "MIN" and cmp < 0) or (expr.name == "MAX" and cmp > 0):
-                best = value
-        return best
 
 
 def _split_conjuncts(expr: Optional[Expression]) -> list[Expression]:
@@ -1418,25 +849,6 @@ def _substitute_aliases(
             negated=expr.negated,
         )
     return expr
-
-
-# ----------------------------------------------------------------------
-# Value semantics helpers
-# ----------------------------------------------------------------------
-
-# The single source of truth for NULL/coercion/comparison semantics is
-# repro.query.sql.values — zone-map disproof in the scan layer and the
-# batch kernels import the same functions, so pruning and vectorized
-# filtering can never disagree with row evaluation.  The old local
-# implementations were folded into values.py by the PR-9 audit; these
-# aliases keep the executor's historical spellings.
-_is_null = values_is_null
-_truthy = values_is_truthy
-_number = values_as_number
-_compare = values_compare
-_null_safe = values_null_safe_key
-_hashable = values_hashable_key
-_sortable = values_sort_key
 
 
 def _like_to_regex(pattern: str) -> re.Pattern:

@@ -1,9 +1,8 @@
 """Vectorized kernels over column vectors.
 
-Each kernel is a tight loop over Python lists that reproduces the row
-engine's value semantics *exactly* — every null check, coercion, and
-comparison routes through :mod:`repro.query.sql.values`, the same
-single source of truth the row evaluator and zone-map pruning use.
+Each kernel is a tight loop over Python lists; every null check,
+coercion, and comparison routes through :mod:`repro.query.sql.values`,
+the same single source of truth zone-map pruning uses.
 The speedup comes from hoisting per-row costs out of the loop: scope
 resolution happens once per column instead of once per cell, numeric
 views are computed once per base column and shared across predicates
@@ -50,8 +49,7 @@ def compare_columns(
     op: str,
 ) -> list[bool]:
     """``left op right`` element-wise: False when either side is NULL,
-    numeric compare when both sides coerce, else string compare —
-    the row engine's binary-comparison semantics, column at a time."""
+    numeric compare when both sides coerce, else string compare."""
     test = _cmp_test(op)
     out = []
     append = out.append
@@ -99,7 +97,7 @@ def compare_literal(
 
 def truthy_mask(col: list) -> list[bool]:
     """SQL boolean coercion of a whole column (bools stay, NULL is
-    false, numerics test non-zero, strings coerce like the row path)."""
+    false, numerics test non-zero, other strings by truthiness)."""
     out = []
     append = out.append
     for v in col:
@@ -146,7 +144,7 @@ def between_mask(
     """``value BETWEEN low AND high`` element-wise.
 
     NULL on any operand fails both BETWEEN and NOT BETWEEN (the PR-9
-    values audit; the row engine applies the same rule).
+    values audit).
     """
     out = []
     append = out.append
@@ -161,8 +159,8 @@ def between_mask(
 
 def in_mask(col: list, pool: set, negated: bool) -> list[bool]:
     """``col IN pool`` where ``pool`` holds null-safe keys (numbers for
-    numeric-viewed values).  No null check — the row engine has none
-    here, and NULL literals in the list genuinely match NULL cells."""
+    numeric-viewed values).  No null check: a NULL in the list or the
+    subquery's pool genuinely matches NULL cells."""
     out = []
     append = out.append
     for v in col:
@@ -172,8 +170,7 @@ def in_mask(col: list, pool: set, negated: bool) -> list[bool]:
 
 def like_mask(col: list, regex, negated: bool) -> list[bool]:
     """``col LIKE pattern``: Python-``None`` operands are False
-    regardless of negation (empty strings still match the pattern) —
-    exactly the row evaluator's rule."""
+    regardless of negation (empty strings still match the pattern)."""
     out = []
     append = out.append
     fullmatch = regex.fullmatch
@@ -207,10 +204,9 @@ def aggregate(
     distinct: bool,
 ) -> Any:
     """One aggregate over the group at ``indices`` (ascending row
-    positions), matching ``Database._eval_aggregate`` value for value:
-    NULLs dropped, DISTINCT by first occurrence, SUM/AVG over numeric
-    views in row order (float summation order preserved), MIN/MAX by
-    SQL comparison."""
+    positions): NULLs dropped, DISTINCT by first occurrence, SUM/AVG
+    over numeric views in row order (float summation order preserved),
+    MIN/MAX by SQL comparison."""
     kept = [i for i in indices if not (col[i] is None or col[i] == "")]
     values = (
         list(dict.fromkeys(col[i] for i in kept)) if distinct else None

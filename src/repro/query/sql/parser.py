@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+from contextlib import contextmanager
+
 from repro.errors import SqlSyntaxError
 from repro.query.sql.ast import (
     Between,
@@ -29,6 +31,15 @@ from repro.query.sql.lexer import Token, tokenize_sql
 
 _AGG_KEYWORDS = ("COUNT", "SUM", "AVG", "MIN", "MAX")
 
+#: Deepest nesting of one statement: every SELECT (top level, FROM / IN /
+#: scalar subquery), every expression inside parentheses, function
+#: arguments or CASE, and every link of a NOT / unary-minus chain is one
+#: level.  Fixed, so the recursive-descent parser and the recursive AST
+#: walkers behind it stay far inside the interpreter's recursion limit
+#: (about 11 frames a level); deeper input is a syntax error, never a
+#: RecursionError.
+MAX_NESTING_DEPTH = 40
+
 
 def parse_sql(text: str) -> SelectStatement:
     """Parse one SELECT statement (optionally a UNION chain).
@@ -47,6 +58,7 @@ class _Parser:
     def __init__(self, tokens: list[Token]) -> None:
         self._tokens = tokens
         self._pos = 0
+        self._depth = 0
 
     # ------------------------------------------------------------------
     # Token plumbing
@@ -115,24 +127,39 @@ class _Parser:
             )
         return self.advance().value
 
+    @contextmanager
+    def _nested(self):
+        """One nesting level around a recursive grammar rule."""
+        if self._depth >= MAX_NESTING_DEPTH:
+            raise SqlSyntaxError(
+                f"statement nests deeper than {MAX_NESTING_DEPTH} levels "
+                f"at position {self.current.position}"
+            )
+        self._depth += 1
+        try:
+            yield
+        finally:
+            self._depth -= 1
+
     # ------------------------------------------------------------------
     # Grammar
     # ------------------------------------------------------------------
 
     def parse_select(self, allow_union: bool = False) -> SelectStatement:
         """Parse a SELECT (optionally a UNION chain when allowed)."""
-        statement = self._parse_select_core()
-        while allow_union and self.accept_keyword("UNION"):
-            keep_duplicates = bool(self.accept_keyword("ALL"))
-            branch = self._parse_select_core()
-            statement.unions.append((branch, keep_duplicates))
-            # ORDER BY / LIMIT after the last branch bind to the chain.
-            if branch.order_by or branch.limit is not None:
-                statement.order_by = branch.order_by
-                statement.limit = branch.limit
-                branch.order_by = []
-                branch.limit = None
-        return statement
+        with self._nested():
+            statement = self._parse_select_core()
+            while allow_union and self.accept_keyword("UNION"):
+                keep_duplicates = bool(self.accept_keyword("ALL"))
+                branch = self._parse_select_core()
+                statement.unions.append((branch, keep_duplicates))
+                # ORDER BY / LIMIT after the last branch bind to the chain.
+                if branch.order_by or branch.limit is not None:
+                    statement.order_by = branch.order_by
+                    statement.limit = branch.limit
+                    branch.order_by = []
+                    branch.limit = None
+            return statement
 
     def _parse_select_core(self) -> SelectStatement:
         self.expect_keyword("SELECT")
@@ -240,7 +267,8 @@ class _Parser:
 
     def parse_expression(self) -> Expression:
         """Parse a full expression (entry to the precedence climber)."""
-        return self._parse_or()
+        with self._nested():
+            return self._parse_or()
 
     def _parse_or(self) -> Expression:
         left = self._parse_and()
@@ -256,7 +284,8 @@ class _Parser:
 
     def _parse_not(self) -> Expression:
         if self.accept_keyword("NOT"):
-            return UnaryOp(op="NOT", operand=self._parse_not())
+            with self._nested():
+                return UnaryOp(op="NOT", operand=self._parse_not())
         return self._parse_predicate()
 
     def _parse_predicate(self) -> Expression:
@@ -311,7 +340,8 @@ class _Parser:
 
     def _parse_unary(self) -> Expression:
         if self.accept_op("-"):
-            return UnaryOp(op="-", operand=self._parse_unary())
+            with self._nested():
+                return UnaryOp(op="-", operand=self._parse_unary())
         self.accept_op("+")
         return self._parse_primary()
 

@@ -1,5 +1,4 @@
-"""SQL value semantics shared by row evaluation, batch kernels, and
-scan pruning.
+"""SQL value semantics shared by the batch kernels and scan pruning.
 
 The executor compares cell strings with numeric coercion ("007" equals
 7, mixed types fall back to string order) and treats empty strings as
@@ -41,8 +40,8 @@ Ordering (:func:`ordering_key`):
     numbers among themselves by value, strings lexicographically),
     NULLs last; descending reverses the whole order, so NULLs come
     first.  Within the NULL class, ``""`` orders before ``None``
-    (their ``str()`` forms ``"" < "None"``) — a quirk kept because the
-    row engine has always done it and byte-identity wins.
+    (their ``str()`` forms ``"" < "None"``) — a quirk kept because
+    answers have always been ordered this way and byte-identity wins.
 
 Hashing (:func:`null_safe_key`):
     values that compare numerically-equal must hash equal, so the hash

@@ -1,39 +1,45 @@
-"""Vectorized (column-batch) SQL execution.
+"""Column-batch SQL execution — the one engine behind ``Database.execute``.
 
-The row engine in :mod:`repro.query.sql.executor` evaluates every
-expression once per row over materialized row lists.  This module runs
-the same plan shapes column-at-a-time over
+A statement runs column-at-a-time over
 :class:`~repro.query.sql.batch.Relation` index vectors: scope
 resolution, literal coercion, and LIKE compilation happen once per
 column, numeric views are computed once per base column, and joins move
-row *indexes* instead of row copies.
+row *indexes* instead of row copies.  Every kernel routes through
+:mod:`repro.query.sql.values`, and ``tests/sql_reference.py`` is the
+independent oracle the differential suites diff every answer against.
 
-Byte-identity with the row engine is the contract (the differential
-harness diffs every spec across both): every kernel routes through
-:mod:`repro.query.sql.values`, output row order mirrors the row
-engine's — including its quirks (group output sorted by raw signature
-with the same ``TypeError`` on mixed-type keys, the DISTINCT-before-
-ORDER-BY base-row misalignment, lazy AND/OR/CASE evaluation order) —
-and statements the batch pipeline does not cover (subqueries in any
-position) fall back to the row path wholesale, before any scan runs.
+Evaluation is lazy where SQL lets an error hide: the right side of
+AND / OR and the branches of CASE are evaluated only over the rows that
+reach them, and no expression is resolved against a zero-row relation
+(``SELECT bogus FROM empty`` succeeds).  Subqueries are self-contained
+(no outer row is ever passed in), so each one — FROM, scalar, or
+``IN (SELECT ...)`` — runs at most once per statement execution, on
+first reach with a non-empty relation, and is memoised by node
+identity; an unreached subquery never runs, so its errors never
+surface.
 
-Inner/cross join trees over base tables additionally pass through the
-cost-based planner (:mod:`repro.query.sql.cost`): scans feed actual
-filtered sizes, summary statistics supply join-key distinct counts, and
-the greedy order + build-side choice executes out of syntactic order.
-Because every row engine inner-join tree emits rows in lexicographic
-order of base-table provenance (hash buckets keep build-side storage
-order, probes keep probe-side order, nested loops are left-major), a
-final provenance sort restores the exact row-engine order, so the
-reorder is invisible in answers.
+Output order is part of the contract.  Scans keep storage order,
+filters keep relative order, hash buckets keep build-side storage order
+and probes keep probe-side order, nested loops are left-major — so an
+inner-join tree emits rows in lexicographic order of base-table
+provenance, taken in FROM-clause order.  Inner/cross join trees over
+base tables additionally pass through the cost-based planner
+(:mod:`repro.query.sql.cost`): scans feed actual filtered sizes,
+summary statistics supply join-key distinct counts, and the greedy
+order + build-side choice executes out of syntactic order; a final
+provenance sort restores exactly that lexicographic order, so the
+reorder is invisible in answers.  Grouped output is sorted by raw group
+signature (a ``TypeError`` on mixed-type keys), and ORDER BY is a
+stable sort over that.
 """
 
 from __future__ import annotations
 
 import copy
+import itertools
 from typing import Any, Optional
 
-from repro.errors import SqlPlanError
+from repro.errors import QueryError, SqlPlanError
 from repro.query.sql import kernels
 from repro.query.sql.ast import (
     AGGREGATE_FUNCTIONS,
@@ -59,86 +65,25 @@ from repro.query.sql.ast import (
 )
 from repro.query.sql.batch import ColumnBatch, Relation, join_relations
 from repro.query.sql.cost import JoinEdge, choose_join_order
+from repro.query.sql.executor import (
+    QueryResult,
+    _like_to_regex,
+    _Scope,
+    _split_conjuncts,
+    _substitute_aliases,
+)
+from repro.query.sql.functions import SCALAR_FUNCTIONS
 from repro.query.sql.values import (
     as_number,
     hashable_key,
     is_null,
+    is_truthy,
     null_safe_key,
     sort_key,
 )
 
 _FLIP = {"=": "=", "!=": "!=", "<": ">", "<=": ">=", ">": "<", ">=": "<="}
 _COMPARISONS = ("=", "!=", "<", "<=", ">", ">=")
-
-
-# ----------------------------------------------------------------------
-# Support check (static, runs before any scan)
-# ----------------------------------------------------------------------
-
-
-def unsupported_reason(stmt: SelectStatement) -> Optional[str]:
-    """Why the statement needs the row path, or None when the batch
-    pipeline covers it.  Purely syntactic, so the decision lands before
-    any table loader runs."""
-    for branch, __ in stmt.unions:
-        reason = unsupported_reason(branch)
-        if reason is not None:
-            return reason
-    reason = _from_reason(stmt.from_item)
-    if reason is not None:
-        return reason
-    exprs: list[Optional[Expression]] = [i.expression for i in stmt.items]
-    exprs.extend([stmt.where, stmt.having])
-    exprs.extend(stmt.group_by)
-    exprs.extend(o.expression for o in stmt.order_by)
-    for expr in exprs:
-        if expr is not None and _has_subquery(expr):
-            return "subquery expression"
-    return None
-
-
-def _from_reason(item: Optional[FromItem]) -> Optional[str]:
-    if item is None or isinstance(item, TableRef):
-        return None
-    if isinstance(item, SubqueryRef):
-        return "subquery in FROM"
-    if isinstance(item, Join):
-        reason = _from_reason(item.left) or _from_reason(item.right)
-        if reason is not None:
-            return reason
-        if item.condition is not None and _has_subquery(item.condition):
-            return "subquery expression"
-        return None
-    return "unsupported FROM item"
-
-
-def _has_subquery(expr: Expression) -> bool:
-    if isinstance(expr, ScalarSubquery):
-        return True
-    if isinstance(expr, InList):
-        if expr.subquery is not None:
-            return True
-        return _has_subquery(expr.operand) or any(
-            _has_subquery(i) for i in expr.items
-        )
-    if isinstance(expr, BinaryOp):
-        return _has_subquery(expr.left) or _has_subquery(expr.right)
-    if isinstance(expr, UnaryOp):
-        return _has_subquery(expr.operand)
-    if isinstance(expr, Between):
-        return any(
-            _has_subquery(e) for e in (expr.operand, expr.low, expr.high)
-        )
-    if isinstance(expr, (Like, IsNull)):
-        return _has_subquery(expr.operand)
-    if isinstance(expr, FunctionCall):
-        return any(_has_subquery(a) for a in expr.args)
-    if isinstance(expr, CaseExpression):
-        parts = [e for pair in expr.branches for e in pair]
-        if expr.default is not None:
-            parts.append(expr.default)
-        return any(_has_subquery(e) for e in parts)
-    return False
 
 
 def _column_refs(expr: Expression) -> list[ColumnRef]:
@@ -171,39 +116,62 @@ def _column_refs(expr: Expression) -> list[ColumnRef]:
     return []
 
 
-def _functions_known(expr: Expression) -> bool:
-    """True when every FunctionCall in the tree names a real function —
-    a flatten precondition, so a reorder can never swallow the row
-    engine's 'unknown function' error."""
-    from repro.query.sql.functions import SCALAR_FUNCTIONS
-
+def _reorder_safe(expr: Expression) -> bool:
+    """True when evaluating ``expr`` out of syntactic order can surface
+    no error the syntactic order would not: every FunctionCall names a
+    real function, and no subquery (whose errors surface only when it
+    is reached) hangs off the tree.  A flatten precondition."""
+    if isinstance(expr, ScalarSubquery):
+        return False
     if isinstance(expr, FunctionCall):
         if (
             expr.name not in SCALAR_FUNCTIONS
             and expr.name not in AGGREGATE_FUNCTIONS
         ):
             return False
-        return all(_functions_known(a) for a in expr.args)
+        return all(_reorder_safe(a) for a in expr.args)
     if isinstance(expr, BinaryOp):
-        return _functions_known(expr.left) and _functions_known(expr.right)
+        return _reorder_safe(expr.left) and _reorder_safe(expr.right)
     if isinstance(expr, UnaryOp):
-        return _functions_known(expr.operand)
+        return _reorder_safe(expr.operand)
     if isinstance(expr, Between):
         return all(
-            _functions_known(e) for e in (expr.operand, expr.low, expr.high)
+            _reorder_safe(e) for e in (expr.operand, expr.low, expr.high)
         )
     if isinstance(expr, InList):
-        return _functions_known(expr.operand) and all(
-            _functions_known(i) for i in expr.items
+        return (
+            expr.subquery is None
+            and _reorder_safe(expr.operand)
+            and all(_reorder_safe(i) for i in expr.items)
         )
     if isinstance(expr, (Like, IsNull)):
-        return _functions_known(expr.operand)
+        return _reorder_safe(expr.operand)
     if isinstance(expr, CaseExpression):
         parts = [e for pair in expr.branches for e in pair]
         if expr.default is not None:
             parts.append(expr.default)
-        return all(_functions_known(e) for e in parts)
+        return all(_reorder_safe(e) for e in parts)
     return True
+
+
+def _one_empty_row() -> Relation:
+    """One row with no cells: what a FROM-less SELECT projects over, and
+    the representative of an implicit group no row fell into."""
+    return Relation([], [], [], [()], [])
+
+
+def _in_pool(inner: QueryResult) -> set:
+    if len(inner.columns) != 1:
+        raise SqlPlanError("IN subquery must yield one column")
+    return {null_safe_key(row[0]) for row in inner.rows}
+
+
+def _scalar_value(inner: QueryResult) -> Any:
+    if len(inner.columns) != 1:
+        raise SqlPlanError("scalar subquery must yield one column")
+    if len(inner.rows) > 1:
+        raise QueryError("scalar subquery returned more than one row")
+    return inner.rows[0][0] if inner.rows else None
 
 
 class _NotFlat(Exception):
@@ -212,11 +180,10 @@ class _NotFlat(Exception):
 
 class VectorizedExecutor:
     """One statement's batch execution over a
-    :class:`~repro.query.sql.executor.Database` catalog.
-
-    The instance borrows the database's scope resolution, scan loaders,
-    deadline marks, and row-wise evaluator (for per-group representative
-    leaves) so the two engines can never drift on those semantics."""
+    :class:`~repro.query.sql.executor.Database` catalog, whose scope
+    resolution, scan loaders and deadline marks it borrows.  Nested
+    SELECTs run through the same instance, so they share the deadline,
+    the profile and the memo tables."""
 
     def __init__(self, db):
         self.db = db
@@ -224,8 +191,13 @@ class VectorizedExecutor:
         #: ``{"label", "est", "actual"}`` rows and ``{"label", "note"}``
         #: annotations, in execution order.
         self.profile: list[dict] = []
-        self._next_table_id = 0
+        #: Syntactic FROM positions, handed out in scan order (the
+        #: provenance sort key).
+        self._table_ids = itertools.count()
+        #: Memo tables keyed by AST node identity.  Each SELECT node runs
+        #: at most once per instance, so an entry is never stale.
         self._agg_cache: dict[int, tuple[list, Optional[list]]] = {}
+        self._subquery_values: dict[int, Any] = {}
 
     # -- entry point ----------------------------------------------------
 
@@ -233,13 +205,6 @@ class VectorizedExecutor:
         return self._select(stmt)
 
     def _select(self, stmt: SelectStatement):
-        from repro.query.sql.executor import (
-            QueryResult,
-            _Scope,
-            _split_conjuncts,
-            _truthy,
-        )
-
         if stmt.unions:
             return self._union(stmt)
         db = self.db
@@ -262,7 +227,7 @@ class VectorizedExecutor:
             db._check_deadline("filter")
         else:
             scope = _Scope()
-            rel = Relation([], [], [], [()], [])
+            rel = _one_empty_row()
             if stmt.where is not None:
                 rel = self._filter(rel, stmt.where, scope)
 
@@ -300,12 +265,6 @@ class VectorizedExecutor:
         return QueryResult(columns=out_columns, rows=out_rows)
 
     def _union(self, stmt: SelectStatement):
-        from repro.query.sql.executor import (
-            QueryResult,
-            _null_safe,
-            _sortable,
-        )
-
         head = copy.copy(stmt)
         head.unions = []
         head.order_by = []
@@ -328,7 +287,7 @@ class VectorizedExecutor:
             seen: set[tuple] = set()
             unique = []
             for row in rows:
-                key = tuple(_null_safe(c) for c in row)
+                key = tuple(null_safe_key(c) for c in row)
                 if key not in seen:
                     seen.add(key)
                     unique.append(row)
@@ -354,7 +313,7 @@ class VectorizedExecutor:
                         "ORDER BY on UNION must reference output columns"
                     )
             rows.sort(
-                key=lambda row: [_sortable(row[i], asc) for i, asc in indexes]
+                key=lambda row: [sort_key(row[i], asc) for i, asc in indexes]
             )
         if stmt.limit is not None:
             rows = rows[: stmt.limit]
@@ -363,11 +322,12 @@ class VectorizedExecutor:
     # -- FROM -----------------------------------------------------------
 
     def _from_filtered(self, item: FromItem, conjuncts: list[Expression]):
-        """Mirror of ``Database._execute_from_filtered`` over relations,
-        with one extra move: flattenable inner/cross trees of base
-        tables divert through the cost-based reorder."""
-        from repro.query.sql.executor import _Scope
-
+        """Execute a FROM source, consuming the WHERE conjuncts that
+        resolve fully against it, so single-table filters run *below*
+        joins.  Left joins take no pushdown (a filter below the join
+        changes which rows get NULL-extended); flattenable inner/cross
+        trees of base tables divert through the cost-based reorder.
+        Returns (scope, relation, leftover conjuncts)."""
         if isinstance(item, Join) and item.kind != "left":
             plan = self._flatten(item, conjuncts)
             if plan is not None:
@@ -397,11 +357,15 @@ class VectorizedExecutor:
         return scope, rel, leftover
 
     def _from(self, item: FromItem):
-        from repro.query.sql.executor import _Scope
-
-        db = self.db
         if isinstance(item, TableRef):
             return self._scan(item)
+        if isinstance(item, SubqueryRef):
+            inner = self._select(item.select)
+            batch = ColumnBatch.from_rows(inner.columns, inner.rows)
+            scope = _Scope(fields=[(item.alias, c) for c in inner.columns])
+            return scope, Relation.from_batch(
+                item.alias, batch, next(self._table_ids)
+            )
         if isinstance(item, Join):
             left_scope, left_rel = self._from(item.left)
             right_scope, right_rel = self._from(item.right)
@@ -411,17 +375,13 @@ class VectorizedExecutor:
         raise SqlPlanError(f"unsupported FROM item {item!r}")
 
     def _scan(self, item: TableRef):
-        from repro.query.sql.executor import _Scope
-
         db = self.db
         upper = item.name.upper()
         if upper not in db._tables:
             raise SqlPlanError(f"unknown table {item.name!r}")
         batch = db._load_batch(upper)
-        table_id = self._next_table_id
-        self._next_table_id += 1
         scope = _Scope(fields=[(item.binding, c) for c in batch.columns])
-        rel = Relation.from_batch(item.binding, batch, table_id)
+        rel = Relation.from_batch(item.binding, batch, next(self._table_ids))
         stats = db.table_statistics(upper)
         self.profile.append(
             {
@@ -432,11 +392,9 @@ class VectorizedExecutor:
         )
         return scope, rel
 
-    # -- syntactic join mirror ------------------------------------------
+    # -- syntactic-order join --------------------------------------------
 
     def _join(self, join: Join, left_scope, left_rel, right_scope, right_rel):
-        from repro.query.sql.executor import _Scope, _split_conjuncts
-
         db = self.db
         scope = _Scope(fields=left_scope.fields + right_scope.fields)
         nleft, nright = left_rel.length, right_rel.length
@@ -454,9 +412,8 @@ class VectorizedExecutor:
         equi = db._equi_join_keys(join.condition, left_scope, right_scope)
         if equi is not None:
             # Bare `a.x = b.y`: hash without a recheck.  NULL keys are
-            # excluded up front — in the row engine they collide in the
-            # hash bucket and then fail the equality recheck, so the
-            # surviving pair set is identical.
+            # excluded up front — NULL fails every comparison, equality
+            # included, so a NULL key can match nothing.
             left_idx, right_idx = equi
             lcol = left_rel.column(left_idx)
             rcol = right_rel.column(right_idx)
@@ -484,9 +441,8 @@ class VectorizedExecutor:
         # General condition: candidate pairs (hashed on a leading bare
         # equi conjunct when there is one, else the full cross space),
         # then the whole condition vector-evaluated over the candidates
-        # — matching the row engine's lazy AND short-circuit, which only
-        # ever evaluates the rest of the condition on pairs where the
-        # leading conjunct held.
+        # — the lazy AND short-circuit: the rest of the condition is
+        # only ever evaluated on pairs where the leading conjunct held.
         conjuncts = _split_conjuncts(join.condition)
         lead = (
             db._equi_join_keys(conjuncts[0], left_scope, right_scope)
@@ -544,7 +500,7 @@ class VectorizedExecutor:
 
     def _flatten(self, item: Join, conjuncts: list[Expression]):
         """Decompose an inner/cross-only tree of base tables into
-        (tables, pooled predicates), or None when the syntactic mirror
+        (tables, pooled predicates), or None when the syntactic order
         must run instead (left joins, subqueries, duplicate bindings,
         predicates whose errors the reorder could mis-time)."""
         tables: list[TableRef] = []
@@ -555,17 +511,12 @@ class VectorizedExecutor:
                 walk(node.left)
                 walk(node.right)
                 if node.condition is not None:
-                    pooled.extend(
-                        __split_conjuncts(node.condition)
-                    )
+                    pooled.extend(_split_conjuncts(node.condition))
             elif isinstance(node, TableRef):
                 tables.append(node)
             else:
                 raise _NotFlat
 
-        from repro.query.sql.executor import _Scope, _split_conjuncts
-
-        __split_conjuncts = _split_conjuncts
         try:
             walk(item)
         except _NotFlat:
@@ -591,7 +542,7 @@ class VectorizedExecutor:
         for predicate in pooled:
             if contains_aggregate(predicate):
                 return None
-            if not _functions_known(predicate):
+            if not _reorder_safe(predicate):
                 return None
             if not db._resolvable(predicate, full_scope):
                 return None
@@ -599,10 +550,8 @@ class VectorizedExecutor:
 
     def _from_reordered(self, tables, pooled, full_scope):
         """Execute a flattened inner-join group in cost order, then sort
-        the result back into the row engine's syntactic output order via
-        base-table provenance."""
-        from repro.query.sql.executor import _Scope
-
+        the result back into syntactic output order via base-table
+        provenance."""
         db = self.db
         n = len(tables)
         # Field offsets per syntactic table position, for predicate
@@ -630,7 +579,7 @@ class VectorizedExecutor:
             pred_tables.append((predicate, touched))
 
         # Scan + single-table filters (in syntactic order, so scan-time
-        # errors surface exactly like the row engine's left-deep walk).
+        # errors surface exactly as in the left-deep syntactic walk).
         rels: list[Relation] = []
         scopes: list = []
         for pos, t in enumerate(tables):
@@ -756,8 +705,8 @@ class VectorizedExecutor:
                 acc = self._filter(acc, predicate, acc_scope)
                 applied[pi] = True
 
-        # Restore the row engine's output order: permute provenance
-        # slots into syntactic table order and sort lexicographically.
+        # Restore syntactic output order: permute provenance slots into
+        # FROM-clause table order and sort lexicographically.
         # (Provenance tuples are unique — each base-row combination is
         # emitted at most once — so the sort has no ties to break.)
         perm = sorted(
@@ -831,9 +780,9 @@ class VectorizedExecutor:
 
     def _eval_vec(self, expr: Expression, rel: Relation, scope) -> list:
         """One output value per relation row.  Zero-row relations return
-        immediately *without resolving anything* — the row engine never
-        evaluates an expression it has no row for, and error parity
-        (e.g. ``SELECT bogus FROM empty`` succeeding) depends on it."""
+        immediately *without resolving anything*: an expression there is
+        no row for is never evaluated, so ``SELECT bogus FROM empty``
+        succeeds and a subquery under it never runs."""
         n = rel.length
         if n == 0:
             return []
@@ -855,6 +804,9 @@ class VectorizedExecutor:
             return kernels.between_mask(value, low, high, expr.negated)
         if isinstance(expr, InList):
             values = self._eval_vec(expr.operand, rel, scope)
+            if expr.subquery is not None:
+                pool = self._once(expr.subquery, _in_pool)
+                return kernels.in_mask(values, pool, expr.negated)
             if all(isinstance(i, Literal) for i in expr.items):
                 pool = {null_safe_key(i.value) for i in expr.items}
                 return kernels.in_mask(values, pool, expr.negated)
@@ -867,8 +819,6 @@ class VectorizedExecutor:
                 out.append((null_safe_key(value) in pool) != expr.negated)
             return out
         if isinstance(expr, Like):
-            from repro.query.sql.executor import _like_to_regex
-
             values = self._eval_vec(expr.operand, rel, scope)
             return kernels.like_mask(
                 values, _like_to_regex(expr.pattern), expr.negated
@@ -883,8 +833,6 @@ class VectorizedExecutor:
                 raise SqlPlanError(
                     f"aggregate {expr.name} outside GROUP BY context"
                 )
-            from repro.query.sql.functions import SCALAR_FUNCTIONS
-
             func = SCALAR_FUNCTIONS.get(expr.name)
             if func is None:
                 raise SqlPlanError(f"unknown function {expr.name!r}")
@@ -895,10 +843,17 @@ class VectorizedExecutor:
         if isinstance(expr, Star):
             raise SqlPlanError("* is only valid in SELECT or COUNT(*)")
         if isinstance(expr, ScalarSubquery):
-            raise SqlPlanError(
-                "scalar subquery reached the vectorized engine"
-            )  # unreachable: unsupported_reason() routes these to the row path
+            return [self._once(expr.select, _scalar_value)] * n
         raise SqlPlanError(f"unsupported expression {expr!r}")
+
+    def _once(self, select: SelectStatement, derive) -> Any:
+        """``derive(result)`` of a nested SELECT, run on first reach and
+        memoised — a subquery takes nothing from the outer row, so one
+        run answers every row."""
+        key = id(select)
+        if key not in self._subquery_values:
+            self._subquery_values[key] = derive(self._select(select))
+        return self._subquery_values[key]
 
     def _numeric_vec(self, expr: Expression, rel: Relation, scope) -> list:
         """Numeric view of an expression column, reusing the base
@@ -969,10 +924,10 @@ class VectorizedExecutor:
         )
 
     def _eval_case_vec(self, expr: CaseExpression, rel: Relation, scope):
-        """CASE with the row engine's laziness: each branch's condition
-        is only evaluated over rows no earlier branch took, and each
-        value only over the rows its branch takes — so a value
-        expression that would error on an untaken row never sees it."""
+        """CASE, lazily: each branch's condition is only evaluated over
+        rows no earlier branch took, and each value only over the rows
+        its branch takes — so a value expression that would error on an
+        untaken row never sees it."""
         n = rel.length
         out: list = [None] * n
         remaining = list(range(n))
@@ -1015,8 +970,6 @@ class VectorizedExecutor:
         return columns, out
 
     def _grouped_projection(self, stmt, scope, rel: Relation):
-        from repro.query.sql.executor import _substitute_aliases, _truthy
-
         keys = stmt.group_by
         groups: dict[tuple, list[int]] = {}
         if keys:
@@ -1041,10 +994,9 @@ class VectorizedExecutor:
             if stmt.having is not None
             else None
         )
-        self._agg_cache = {}
         out: list[list] = []
         for __, positions in sorted(groups.items(), key=lambda kv: kv[0]):
-            if having is not None and not _truthy(
+            if having is not None and not is_truthy(
                 self._eval_grouped_vec(having, positions, rel, scope)
             ):
                 continue
@@ -1059,41 +1011,46 @@ class VectorizedExecutor:
         return columns, out
 
     def _eval_grouped_vec(self, expr, positions: list[int], rel, scope):
-        from repro.query.sql.executor import _truthy
-
-        db = self.db
         if isinstance(expr, FunctionCall) and expr.name in AGGREGATE_FUNCTIONS:
             return self._eval_aggregate_vec(expr, positions, rel, scope)
         if isinstance(expr, BinaryOp):
-            if expr.op in ("AND", "OR"):
-                left = self._eval_grouped_vec(expr.left, positions, rel, scope)
-                if expr.op == "AND":
-                    return _truthy(left) and _truthy(
-                        self._eval_grouped_vec(expr.right, positions, rel, scope)
-                    )
-                return _truthy(left) or _truthy(
+            left = self._eval_grouped_vec(expr.left, positions, rel, scope)
+            if expr.op == "AND":
+                return is_truthy(left) and is_truthy(
                     self._eval_grouped_vec(expr.right, positions, rel, scope)
                 )
-            left = self._eval_grouped_vec(expr.left, positions, rel, scope)
+            if expr.op == "OR":
+                return is_truthy(left) or is_truthy(
+                    self._eval_grouped_vec(expr.right, positions, rel, scope)
+                )
             right = self._eval_grouped_vec(expr.right, positions, rel, scope)
-            synthetic = BinaryOp(
-                op=expr.op, left=Literal(left), right=Literal(right)
-            )
-            return db._eval_binary(synthetic, [], scope)
+            if expr.op in _COMPARISONS:
+                return kernels.compare_columns(
+                    [left], [as_number(left)], [right], [as_number(right)],
+                    expr.op,
+                )[0]
+            return kernels.arithmetic(
+                [as_number(left)], [as_number(right)], expr.op
+            )[0]
         if isinstance(expr, UnaryOp):
             inner = self._eval_grouped_vec(expr.operand, positions, rel, scope)
             if expr.op == "NOT":
-                return not _truthy(inner)
+                return not is_truthy(inner)
             value = as_number(inner)
             return -value if value is not None else None
-        # Non-aggregate leaf: the group's first row is the
-        # representative, exactly as in the row engine (including the
-        # IndexError an empty implicit group raises on a column ref).
-        if not positions:
-            return db._eval(expr, [], scope)
-        if isinstance(expr, ColumnRef):
+        # Non-aggregate leaf: read off the group's first row (it must be
+        # functionally dependent on the group key, as in SQL).  An
+        # implicit group no row fell into has a representative with no
+        # cells: literals and subqueries still evaluate, a column
+        # reference has nothing to index (IndexError).
+        if isinstance(expr, Literal):
+            return expr.value
+        if positions and isinstance(expr, ColumnRef):
             return rel.column(scope.resolve(expr))[positions[0]]
-        return db._eval(expr, rel.out_row(positions[0]), scope)
+        representative = (
+            rel.select(positions[:1]) if positions else _one_empty_row()
+        )
+        return self._eval_vec(expr, representative, scope)[0]
 
     def _eval_aggregate_vec(self, expr, positions: list[int], rel, scope):
         if expr.name == "COUNT" and (
@@ -1147,9 +1104,9 @@ class VectorizedExecutor:
                 )
             else:
                 # Base-expression keys are evaluated against base
-                # positions 0..n-1 — reproducing the row engine's
-                # DISTINCT misalignment quirk (``base_rows[position]``
-                # after dedup shrank the output) byte for byte.
+                # positions 0..n-1: output row i sorts by base row i,
+                # also after DISTINCT shrank the output (pinned by
+                # tests/test_sql_executor.py).
                 sub = self._subrel(rel, list(range(n)))
                 values = self._eval_vec(expr, sub, scope)
             key_cols.append((values, order.ascending))
@@ -1182,4 +1139,4 @@ def _hash_pairs(
     return pairs
 
 
-__all__ = ["VectorizedExecutor", "unsupported_reason"]
+__all__ = ["VectorizedExecutor"]

@@ -76,14 +76,47 @@ class OrderSpec:
 
 
 @dataclass(frozen=True)
-class QuerySpec:
-    """A constrained SELECT: filters, optional joins/grouping/having/
-    ordering/limit, optionally UNIONed with a second branch."""
+class InSubquery:
+    """One WHERE conjunct: ``column [NOT] IN (subquery)``; the subquery
+    spec must yield exactly one column."""
 
     table: str
+    column: str
+    subquery: "QuerySpec"
+    negated: bool = False
+
+
+@dataclass(frozen=True)
+class ScalarCompare:
+    """One WHERE conjunct: ``column op (subquery)``; the subquery spec
+    must yield one column and at most one row (no row compares as
+    NULL)."""
+
+    table: str
+    column: str
+    op: str
+    subquery: "QuerySpec"
+
+
+@dataclass(frozen=True)
+class QuerySpec:
+    """A constrained SELECT: filters, optional joins/grouping/having/
+    ordering/limit, optionally UNIONed with a second branch.  Subqueries
+    appear in all three positions: as the FROM source (``source``), as
+    ``IN`` pools and as scalar comparison operands (in WHERE, or as a
+    HAVING literal)."""
+
+    table: str
+    #: FROM-subquery: ``table`` is then the alias of the derived table
+    #: this spec produces (its columns are the inner output aliases
+    #: c0.., k0.., a0..).  The inner spec may order and limit but not
+    #: UNION (the grammar has no UNION inside parentheses).
+    source: "QuerySpec | None" = None
     select: tuple[tuple[str, str], ...] = ()  # (table, column) projections
     aggs: tuple[Agg, ...] = ()
     filters: tuple[Filter, ...] = ()
+    in_filters: tuple[InSubquery, ...] = ()
+    scalar_filters: tuple[ScalarCompare, ...] = ()
     join: JoinSpec | None = None
     #: Additional join chain after ``join`` (which is kept for the
     #: original single-join specs); evaluated left to right.
@@ -91,7 +124,8 @@ class QuerySpec:
     #: CASE select items, aliased k0.. after the plain columns.
     cases: tuple[CaseSpec, ...] = ()
     group_by: tuple[str, ...] = ()  # base-table columns
-    #: HAVING conjuncts over aggregate aliases: (alias, op, literal).
+    #: HAVING conjuncts over aggregate aliases: (alias, op, literal),
+    #: where the literal may be a scalar-subquery QuerySpec.
     having: tuple[tuple[str, str, object], ...] = ()
     order_by: tuple[OrderSpec, ...] = ()
     limit: int | None = None
@@ -119,9 +153,17 @@ def _ref(spec: QuerySpec, table: str, column: str) -> str:
 
 
 def _literal(value: object) -> str:
+    if isinstance(value, QuerySpec):
+        return f"({render_sql(value)})"
     if isinstance(value, int):
         return str(value)
     return "'" + str(value).replace("'", "''") + "'"
+
+
+def _source(spec: QuerySpec) -> str:
+    if spec.source is None:
+        return spec.table
+    return f"{_literal(spec.source)} {spec.table}"
 
 
 def _render_select(spec: QuerySpec) -> str:
@@ -147,7 +189,7 @@ def _render_select(spec: QuerySpec) -> str:
         # the cost-based planner flattens and reorders.
         sql = "SELECT {} FROM {}".format(
             ", ".join(items),
-            ", ".join([spec.table] + [j.table for j in joins]),
+            ", ".join([_source(spec)] + [j.table for j in joins]),
         )
         for join in joins:
             left = join.left_table or spec.table
@@ -156,7 +198,7 @@ def _render_select(spec: QuerySpec) -> str:
                 f"{join.table}.{join.right_column}"
             )
     else:
-        sql = f"SELECT {', '.join(items)} FROM {spec.table}"
+        sql = f"SELECT {', '.join(items)} FROM {_source(spec)}"
         for join in joins:
             keyword = "LEFT JOIN" if join.kind == "left" else "JOIN"
             left = join.left_table or spec.table
@@ -169,6 +211,15 @@ def _render_select(spec: QuerySpec) -> str:
         f"{_ref(spec, f.table, f.column)} {f.op} {_literal(f.value)}"
         for f in spec.filters
     ]
+    for f in spec.in_filters:
+        conjuncts.append(
+            f"{_ref(spec, f.table, f.column)} "
+            f"{'NOT IN' if f.negated else 'IN'} {_literal(f.subquery)}"
+        )
+    for f in spec.scalar_filters:
+        conjuncts.append(
+            f"{_ref(spec, f.table, f.column)} {f.op} {_literal(f.subquery)}"
+        )
     if conjuncts:
         sql += " WHERE " + " AND ".join(conjuncts)
     if spec.group_by:
@@ -320,6 +371,20 @@ class _Relation:
         return self.index[(table, column)]
 
 
+def _in_pool(spec: QuerySpec, tables) -> set:
+    """IN pool of a one-column subquery.  Membership is by join key with
+    no NULL special case: a NULL key in the pool matches a NULL cell."""
+    columns, rows = evaluate(spec, tables)
+    assert len(columns) == 1, "IN subquery spec must yield one column"
+    return {_join_key(row[0]) for row in rows}
+
+
+def _scalar(spec: QuerySpec, tables):
+    columns, rows = evaluate(spec, tables)
+    assert len(columns) == 1 and len(rows) <= 1, "not a scalar subquery spec"
+    return rows[0][0] if rows else None
+
+
 def _case_value(case: CaseSpec, row: list, rel: "_Relation"):
     cell = row[rel.at(case.table, case.column)]
     return case.then if _matches(cell, case.op, case.value) else case.other
@@ -330,6 +395,8 @@ def _evaluate_branch(
 ) -> tuple[list[str], list[list]]:
     """One SELECT body (joins, filters, grouping, having) — no trailing
     ORDER BY/LIMIT, no UNION chaining."""
+    if spec.source is not None:
+        tables = {**tables, spec.table: evaluate(spec.source, tables)}
     base_columns, base_rows = tables[spec.table]
     rel = _Relation(
         fields=[(spec.table, c) for c in base_columns],
@@ -359,6 +426,18 @@ def _evaluate_branch(
     for flt in spec.filters:
         idx = rel.at(flt.table, flt.column)
         rel.rows = [r for r in rel.rows if _matches(r[idx], flt.op, flt.value)]
+
+    for flt in spec.in_filters:
+        idx = rel.at(flt.table, flt.column)
+        pool = _in_pool(flt.subquery, tables)
+        rel.rows = [
+            r for r in rel.rows
+            if (_join_key(r[idx]) in pool) != flt.negated
+        ]
+    for flt in spec.scalar_filters:
+        idx = rel.at(flt.table, flt.column)
+        value = _scalar(flt.subquery, tables)
+        rel.rows = [r for r in rel.rows if _matches(r[idx], flt.op, value)]
 
     columns = (
         [f"c{i}" for i in range(len(spec.select))]
@@ -396,7 +475,13 @@ def _evaluate_branch(
             out.append(row)
         if spec.having:
             having_idx = [
-                (columns.index(alias), op, value)
+                (
+                    columns.index(alias),
+                    op,
+                    _scalar(value, tables)
+                    if isinstance(value, QuerySpec)
+                    else value,
+                )
                 for alias, op, value in spec.having
             ]
             out = [

@@ -40,6 +40,16 @@ class TestRegistry:
         assert metrics.decay_passes == 1
         assert metrics.bytes_reclaimed == 5000
 
+    def test_sql_accounting(self):
+        metrics = WarehouseMetrics()
+        assert "sql queries" not in metrics.summary()
+        metrics.on_sql_execution(rows=3)
+        metrics.on_sql_execution(rows=1200)
+        assert (metrics.sql_queries, metrics.sql_rows_returned) == (2, 1203)
+        assert "sql queries:           2, 1,203 rows returned" in metrics.summary()
+        # One engine: the ledger's fallback series reads this and finds 0.
+        assert metrics.sql_queries_row == 0
+
     def test_summary_renders(self):
         metrics = WarehouseMetrics()
         metrics.on_ingest(records=1, raw_bytes=10, stored_bytes=5, seconds=0.01)

@@ -40,6 +40,16 @@ from repro.server import (
 from repro.server.service import SpateService
 from repro.server.tcp import TcpClient, start_tcp_server
 
+from tests.sql_reference import (
+    Agg,
+    Filter,
+    InSubquery,
+    QuerySpec,
+    ScalarCompare,
+    evaluate,
+    render_sql,
+)
+
 
 def make_spate(tiny_generator, tiny_snapshots, epochs=6) -> Spate:
     spate = Spate(SpateConfig(codec="gzip-ref"))
@@ -262,6 +272,80 @@ class TestService:
             )
         assert not response.ok
         assert response.error_code == "query"
+
+    @pytest.mark.parametrize(
+        "statement",
+        [
+            "SELECT " + "(" * 400 + "1" + ")" * 400,
+            "SELECT 1 FROM " + "(SELECT 1 FROM " * 300 + "CDR" + ") s" * 300,
+        ],
+        ids=["parentheses", "from-subqueries"],
+    )
+    def test_hostile_nesting_is_a_query_error(self, spate_six, statement):
+        """The parser's depth limit is a typed error: the wire says
+        ``query`` — never ``internal`` from an escaped RecursionError."""
+        with SpateServer(spate_six) as server:
+            response = server.query(QueryRequest(op="sql", sql=statement))
+        assert not response.ok
+        assert response.error_code == "query"
+        assert "nests deeper than" in response.error
+
+    def test_sql_subqueries_match_the_reference(self, spate_six):
+        """Each subquery position through the served ``sql`` op returns
+        what the naive reference computes over the stored rows."""
+        tables = {
+            name: spate_six.read_rows(name, 0, 5) for name in ("CDR", "NMS")
+        }
+        per_type = QuerySpec(
+            table="CDR",
+            select=(("CDR", "call_type"),),
+            aggs=(Agg("COUNT"), Agg("SUM", "duration_s")),
+            group_by=("call_type",),
+        )
+        specs = [
+            QuerySpec(  # FROM (SELECT ...)
+                table="S",
+                source=per_type,
+                select=(("S", "c0"), ("S", "a1")),
+                filters=(Filter("S", "a0", ">", 0),),
+            ),
+            QuerySpec(  # IN (SELECT ...)
+                table="CDR",
+                select=(("CDR", "cell_id"), ("CDR", "duration_s")),
+                in_filters=(
+                    InSubquery(
+                        "CDR",
+                        "cell_id",
+                        QuerySpec(
+                            table="NMS",
+                            select=(("NMS", "cellid"),),
+                            filters=(Filter("NMS", "drops", ">", 0),),
+                        ),
+                    ),
+                ),
+            ),
+            QuerySpec(  # op (SELECT ...)
+                table="CDR",
+                select=(("CDR", "call_type"), ("CDR", "duration_s")),
+                scalar_filters=(
+                    ScalarCompare(
+                        "CDR",
+                        "duration_s",
+                        ">",
+                        QuerySpec(table="CDR", aggs=(Agg("AVG", "duration_s"),)),
+                    ),
+                ),
+            ),
+        ]
+        with SpateServer(spate_six) as server:
+            for spec in specs:
+                sql = render_sql(spec)
+                response = server.query(QueryRequest(op="sql", sql=sql))
+                want_columns, want_rows = evaluate(spec, tables)
+                assert response.ok, (sql, response.error)
+                assert response.columns == want_columns, sql
+                assert response.rows == want_rows, sql
+                assert response.rows, sql
 
     def test_metrics_op_reports_serving_counters(self, spate_six):
         with SpateServer(spate_six) as server:

@@ -1,6 +1,7 @@
 """Differential SQL harness: production engine vs the naive reference.
 
-Seeded specs (filters, GROUP BY, equi-joins, LIMIT) are rendered to SQL
+Seeded specs (filters, GROUP BY, equi-joins, LIMIT, subqueries in FROM /
+IN / scalar position) are rendered to SQL
 and run through ``Database.execute`` against the *warehouse scan path*
 — predicate pushdown, day-summary pruning, column projection, and
 parallel leaf decode all active — then evaluated independently by the
@@ -25,9 +26,11 @@ from tests.sql_reference import (
     Agg,
     CaseSpec,
     Filter,
+    InSubquery,
     JoinSpec,
     OrderSpec,
     QuerySpec,
+    ScalarCompare,
     evaluate,
     render_sql,
 )
@@ -301,6 +304,128 @@ def random_spec_v2(seed: int, tables) -> QuerySpec:
     )
 
 
+SUB_KINDS = [
+    "from_sub",
+    "in",
+    "not_in",
+    "scalar",
+    "from_sub_join",
+    "having_scalar",
+]
+CELL_COLUMN = {"CDR": "cell_id", "NMS": "cellid"}
+
+
+def random_spec_sub(seed: int, tables) -> QuerySpec:
+    """Subquery specs, one position per kind: a grouped derived table in
+    FROM (alone and joined to CELL), ``[NOT] IN (SELECT ...)`` against
+    the other fact table, and scalar aggregates compared in WHERE (over
+    the *same* table the outer query scans) and in HAVING."""
+    rng = random.Random(seed)
+    table = rng.choice(["CDR", "NMS"])
+    other = "NMS" if table == "CDR" else "CDR"
+    kind = SUB_KINDS[seed % len(SUB_KINDS)]
+    # No equality filters out here: an outer query they empty never
+    # reaches its subquery, which is the one thing this batch is for.
+    filters = tuple(
+        f
+        for f in _random_filters(rng, tables, table, rng.randint(0, 2))
+        if f.op != "="
+    )
+    numeric = rng.choice(NUMERIC_COLUMNS[table])
+
+    if kind in ("from_sub", "from_sub_join"):
+        key = CELL_COLUMN[table] if kind == "from_sub_join" else rng.choice(
+            STRING_COLUMNS[table]
+        )
+        inner = QuerySpec(
+            table=table,
+            select=((table, key),),
+            aggs=(Agg("COUNT"), Agg(rng.choice(["SUM", "MAX"]), numeric)),
+            filters=filters,
+            group_by=(key,),
+        )
+        outer_filters = (Filter("S", "a0", ">=", rng.randint(1, 4)),)
+        if kind == "from_sub":
+            return QuerySpec(
+                table="S",
+                source=inner,
+                select=(("S", "c0"), ("S", "a0"), ("S", "a1")),
+                filters=outer_filters,
+                order_by=(OrderSpec("c1", ascending=False), OrderSpec("c0")),
+                limit=rng.randint(3, 12) if rng.random() < 0.5 else None,
+            )
+        return QuerySpec(
+            table="S",
+            source=inner,
+            select=(("S", "c0"), ("S", "a1"), ("CELL", rng.choice(["x", "y"]))),
+            filters=outer_filters,
+            join=JoinSpec("CELL", "c0", "cell_id", kind=rng.choice(["inner", "left"])),
+        )
+
+    if kind in ("in", "not_in"):
+        # A range filter at a sampled threshold keeps part of the cells
+        # in the pool, so IN and NOT IN both keep and drop rows.
+        pool_column = rng.choice(NUMERIC_COLUMNS[other])
+        pool = QuerySpec(
+            table=other,
+            select=((other, CELL_COLUMN[other]),),
+            filters=(
+                Filter(
+                    other,
+                    pool_column,
+                    rng.choice([">", ">="]),
+                    _sample_literal(rng, tables, other, pool_column, True),
+                ),
+            ),
+        )
+        in_filter = InSubquery(
+            table, CELL_COLUMN[table], pool, negated=kind == "not_in"
+        )
+        if rng.random() < 0.5:
+            key = rng.choice(STRING_COLUMNS[table])
+            return QuerySpec(
+                table=table,
+                select=((table, key),),
+                aggs=(Agg("COUNT"), Agg("SUM", numeric)),
+                filters=filters,
+                in_filters=(in_filter,),
+                group_by=(key,),
+            )
+        return QuerySpec(
+            table=table,
+            select=((table, CELL_COLUMN[table]), (table, numeric)),
+            filters=filters,
+            in_filters=(in_filter,),
+            limit=rng.randint(5, 40),
+        )
+
+    func, op = rng.choice(
+        [("AVG", ">"), ("AVG", "<="), ("MAX", "="), ("MIN", "="), ("MIN", ">")]
+    )
+    bound = QuerySpec(
+        table=table,
+        aggs=(Agg(func, numeric),),
+        filters=_random_filters(rng, tables, table, 1),
+    )
+    if kind == "scalar":
+        return QuerySpec(
+            table=table,
+            select=((table, rng.choice(STRING_COLUMNS[table])), (table, numeric)),
+            filters=filters,
+            scalar_filters=(ScalarCompare(table, numeric, op, bound),),
+            limit=rng.randint(5, 40) if rng.random() < 0.5 else None,
+        )
+    key = rng.choice(STRING_COLUMNS[table])
+    return QuerySpec(  # having_scalar
+        table=table,
+        select=((table, key),),
+        aggs=(Agg("COUNT"), Agg("MAX", numeric)),
+        filters=filters,
+        group_by=(key,),
+        having=(("a1", rng.choice([">", "<="]), bound),),
+    )
+
+
 @pytest.fixture(scope="module")
 def typed_harness():
     """The same trace stored under the typed-channel codec, so every
@@ -520,31 +645,28 @@ class TestDifferentialSqlTypedChannel:
         assert got.rows == want_rows
 
 
-def _three_way(db, tables, spec):
-    """One spec through all three paths: vectorized engine, row engine,
-    naive reference — byte-identical or bust."""
+def _two_way(db, tables, spec):
+    """One spec through the engine and the naive reference —
+    byte-identical or bust."""
     sql = render_sql(spec)
     got = db.execute(sql)
-    assert db.last_execution["engine"] == "vectorized", sql
-    row = db.execute(sql, vectorized=False)
-    assert got.columns == row.columns, sql
-    assert got.rows == row.rows, f"vectorized != row engine\n{sql}"
     want_columns, want_rows = evaluate(spec, tables)
     assert got.columns == want_columns, sql
-    assert got.rows == want_rows, f"engines != reference\n{sql}"
+    assert got.rows == want_rows, f"engine != reference\n{sql}"
 
 
 class TestDifferentialSqlV2:
     """Second-generation specs on the dense harness: multi-table joins
     (explicit and comma form), HAVING, ORDER BY ties, CASE, UNION —
-    every one diffed three ways (vectorized, row engine, reference)."""
+    every one diffed against the reference.  (The ``three_way`` in the
+    test ids dates from when a second engine sat between the two.)"""
 
     SEEDS = range(300, 348)
 
     @pytest.mark.parametrize("seed", SEEDS)
     def test_seeded_query_three_way(self, harness, seed):
         spate, db, tables = harness
-        _three_way(db, tables, random_spec_v2(seed, tables))
+        _two_way(db, tables, random_spec_v2(seed, tables))
 
     def test_join_order_permutations(self, harness):
         """The same three-table join written base-first from either fact
@@ -563,7 +685,7 @@ class TestDifferentialSqlV2:
                     group_by=(key,),
                     implicit_join=implicit,
                 )
-                _three_way(db, tables, spec)
+                _two_way(db, tables, spec)
 
     def test_implicit_join_is_cost_reordered(self, harness):
         """The comma-form join must actually reach the cost-based
@@ -587,11 +709,10 @@ class TestDifferentialSqlV2:
         __, report = db.explain_analyze(sql)
         assert "plan JoinOrder" in report
         assert "cardinality" in report
-        assert "engine: vectorized" in report
 
     def test_order_by_limit_ties(self, harness):
         """A leading key with heavy ties plus LIMIT: the stable sort
-        must break ties by pre-sort order in all three paths."""
+        must break ties by pre-sort order, as the reference does."""
         spate, db, tables = harness
         spec = QuerySpec(
             table="CDR",
@@ -600,11 +721,11 @@ class TestDifferentialSqlV2:
             order_by=(OrderSpec("c0"),),
             limit=11,
         )
-        _three_way(db, tables, spec)
+        _two_way(db, tables, spec)
         desc = dataclasses.replace(
             spec, order_by=(OrderSpec("c0", ascending=False),)
         )
-        _three_way(db, tables, desc)
+        _two_way(db, tables, desc)
 
     def test_case_union_interaction(self, harness):
         """CASE-projected branches through UNION and UNION ALL with a
@@ -626,7 +747,7 @@ class TestDifferentialSqlV2:
                 order_by=(OrderSpec("k0"), OrderSpec("c0", ascending=False)),
                 limit=17,
             )
-            _three_way(db, tables, spec)
+            _two_way(db, tables, spec)
 
     def test_nullable_and_mixed_group_keys(self, harness):
         """GROUP BY over a column holding empty strings (storage NULLs)
@@ -645,8 +766,7 @@ class TestDifferentialSqlV2:
             "FROM MIXED GROUP BY k"
         )
         got = db.execute(sql)
-        row = db.execute(sql, vectorized=False)
-        assert got.columns == row.columns and got.rows == row.rows
+        assert got.columns == ["c0", "a0", "a1", "a2"]
         assert got.rows == [
             ["", 2, 9, 2],
             ["07", 1, 2, 1],
@@ -671,7 +791,146 @@ class TestDifferentialSqlV2TypedChannel:
     @pytest.mark.parametrize("seed", SEEDS)
     def test_seeded_query_three_way(self, typed_harness, seed):
         spate, db, tables = typed_harness
-        _three_way(db, tables, random_spec_v2(seed, tables))
+        _two_way(db, tables, random_spec_v2(seed, tables))
+
+
+class TestDifferentialSqlSubqueries:
+    """Subqueries in all three positions through the warehouse scan
+    path.  Each runs once per statement inside the one engine; the
+    reference evaluates them the obvious way and must agree."""
+
+    SEEDS = range(600, 612)
+
+    @pytest.mark.parametrize("seed", SEEDS)
+    def test_seeded_subquery_matches_reference(self, harness, seed):
+        spate, db, tables = harness
+        _two_way(db, tables, random_spec_sub(seed, tables))
+
+    def test_fuzz_covers_every_position(self):
+        kinds = {SUB_KINDS[seed % len(SUB_KINDS)] for seed in self.SEEDS}
+        assert kinds == set(SUB_KINDS)
+
+    def test_null_keys_on_both_sides(self, harness):
+        """IN / NOT IN with NULL cells in the probed column *and* in the
+        subquery's pool, plus zero-padded numerics: membership is by
+        numeric-aware key with no NULL special case, so a NULL in the
+        pool matches NULL cells (and un-matches them under NOT IN)."""
+        spate, db, tables = harness
+        outer = (["k", "v"], [["7", "1"], ["", "2"], ["07", "3"], ["a", "4"],
+                              ["9", "5"], ["", "6"]])
+        with_null = (["k"], [["7.0"], [""], ["b"]])
+        without_null = (["k"], [["7.0"], ["a"]])
+        local = {**tables, "OUTERT": outer, "POOLN": with_null,
+                 "POOLX": without_null}
+        for name in ("OUTERT", "POOLN", "POOLX"):
+            db.register_table(name, *local[name])
+        want = {
+            ("POOLN", False): [["7", "1"], ["", "2"], ["07", "3"], ["", "6"]],
+            ("POOLN", True): [["a", "4"], ["9", "5"]],
+            ("POOLX", False): [["7", "1"], ["07", "3"], ["a", "4"]],
+            ("POOLX", True): [["", "2"], ["9", "5"], ["", "6"]],
+        }
+        for (pool, negated), rows in want.items():
+            spec = QuerySpec(
+                table="OUTERT",
+                select=(("OUTERT", "k"), ("OUTERT", "v")),
+                in_filters=(
+                    InSubquery(
+                        "OUTERT",
+                        "k",
+                        QuerySpec(table=pool, select=((pool, "k"),)),
+                        negated=negated,
+                    ),
+                ),
+            )
+            _two_way(db, local, spec)
+            assert db.execute(render_sql(spec)).rows == rows
+
+    def test_scalar_subquery_in_having(self, harness):
+        """Groups kept by comparing an aggregate with a scalar subquery
+        over the same table the outer query scans."""
+        spate, db, tables = harness
+        spec = QuerySpec(
+            table="CDR",
+            select=(("CDR", "call_type"),),
+            aggs=(Agg("COUNT"), Agg("AVG", "duration_s")),
+            group_by=("call_type",),
+            having=(
+                (
+                    "a1",
+                    ">=",
+                    QuerySpec(table="CDR", aggs=(Agg("AVG", "duration_s"),)),
+                ),
+            ),
+        )
+        _two_way(db, tables, spec)
+        got = db.execute(render_sql(spec))
+        everything = db.execute(
+            "SELECT call_type, AVG(duration_s) FROM CDR GROUP BY call_type"
+        )
+        assert 0 < len(got.rows) < len(everything.rows)
+
+    def test_subquery_scans_once_and_blocks_pushdown(self, harness):
+        """A table scanned by both the outer query and a subquery gets no
+        pushed predicates (one reference's filter must not prune the
+        other's rows); every table reference is one framework scan, and
+        the scan record describes that single scan."""
+        from repro.query.sql import parse_sql
+
+        spate, db, tables = harness
+        shared = (
+            "SELECT cell_id AS c0 FROM CDR WHERE duration_s >= 1000000 "
+            "AND upflux <= (SELECT MAX(upflux) FROM CDR WHERE duration_s < 5)"
+        )
+        db._plan_scan_hints(parse_sql(shared))
+        assert db._scan_hints["CDR"][0] == []
+        db._scan_hints = {}
+
+        spec = QuerySpec(
+            table="CDR",
+            select=(("CDR", "cell_id"), ("CDR", "duration_s")),
+            in_filters=(
+                InSubquery(
+                    "CDR",
+                    "cell_id",
+                    QuerySpec(
+                        table="NMS",
+                        select=(("NMS", "cellid"),),
+                        filters=(Filter("NMS", "drops", ">", 10**6),),
+                    ),
+                ),
+            ),
+        )
+        sql = render_sql(spec)
+        db._plan_scan_hints(parse_sql(sql))
+        assert [p.column for p in db._scan_hints["NMS"][0]] == ["drops"]
+        metrics = spate.metrics
+        before = metrics.query_leaves_scanned + metrics.query_leaves_pruned
+        statements = metrics.sql_queries
+        _two_way(db, tables, spec)
+        after = metrics.query_leaves_scanned + metrics.query_leaves_pruned
+        assert after - before == 2 * 48  # 48 leaves: CDR once, NMS once
+        assert metrics.sql_queries - statements == 1  # nested SELECTs ride along
+        # The impossible predicate was pushed into the subquery's one
+        # scan, and the record of that scan says every leaf was pruned.
+        coverage = db.scan_coverage["NMS"]
+        assert coverage["epochs_served"] == []
+        assert len(coverage["epochs_pruned"]) == 48
+        assert db.scan_stats["NMS"].leaves_scanned == 0
+        assert db.scan_stats["CDR"].leaves_scanned == 48
+
+
+class TestDifferentialSqlSubqueriesTypedChannel:
+    """The subquery slice through typed-channel leaves: the nested
+    SELECT's scan takes its own pushed predicates and projected
+    channels."""
+
+    SEEDS = range(700, 706)
+
+    @pytest.mark.parametrize("seed", SEEDS)
+    def test_seeded_subquery_matches_reference(self, typed_harness, seed):
+        spate, db, tables = typed_harness
+        _two_way(db, tables, random_spec_sub(seed, tables))
 
 
 SHARD_EPOCHS = 16
@@ -782,8 +1041,7 @@ class TestDifferentialSqlMultiShard:
     @pytest.mark.parametrize("seed", V2_SEEDS)
     def test_v2_query_matches_single_shard(self, shard_harness, seed):
         """v2 shapes (multi-join, HAVING, ORDER BY, UNION) across the
-        shard RPC layer: 3-shard scatter-gather == 1-shard == reference,
-        on both engines."""
+        shard RPC layer: 3-shard scatter-gather == 1-shard == reference."""
         single, sharded, dbs, tables = shard_harness
         spec = random_spec_v2(seed, tables)
         sql = render_sql(spec)
@@ -791,36 +1049,80 @@ class TestDifferentialSqlMultiShard:
         want = dbs["single"].execute(sql)
         assert got.columns == want.columns, sql
         assert got.rows == want.rows, sql
-        row = dbs["sharded"].execute(sql, vectorized=False)
-        assert got.rows == row.rows, sql
         ref_columns, ref_rows = evaluate(spec, tables)
         assert want.columns == ref_columns, sql
         assert want.rows == ref_rows, sql
 
+    SUB_SEEDS = range(800, 806)
+
+    @pytest.mark.parametrize("seed", SUB_SEEDS)
+    def test_subquery_matches_single_shard(self, shard_harness, seed):
+        """Every subquery position across the shard RPC layer: each
+        nested SELECT is its own scatter-gather, run once."""
+        single, sharded, dbs, tables = shard_harness
+        spec = random_spec_sub(seed, tables)
+        _two_way(dbs["sharded"], tables, spec)
+        _two_way(dbs["single"], tables, spec)
+
     def test_vectorized_identity_interleaved_with_decay(self):
-        """Run the engine diff, age the warehouse with the decay fungus,
-        and diff again: the vectorized column feed must see exactly the
-        leaves the row path sees at every decay state."""
-        single, sharded = _build_sharded_pair(epochs=12)
-        queries = [
-            "SELECT call_type AS c0, COUNT(*) AS a0, SUM(duration_s) AS a1 "
-            "FROM CDR GROUP BY call_type",
-            "SELECT kpi AS c0, val AS c1 FROM NMS WHERE drops >= 0 "
-            "ORDER BY c0 LIMIT 19",
-            "SELECT cell_id AS c0 FROM CDR WHERE duration_s >= 30 "
-            "UNION SELECT cellid AS c0 FROM NMS WHERE val > 5",
+        """Diff engine against reference, age the warehouse with the
+        decay fungus, and diff again: at every decay state the column
+        feed must see exactly the leaves a plain row scan sees, single
+        and sharded alike."""
+        epochs = 12
+        single, sharded = _build_sharded_pair(epochs=epochs)
+        specs = [
+            QuerySpec(
+                table="CDR",
+                select=(("CDR", "call_type"),),
+                aggs=(Agg("COUNT"), Agg("SUM", "duration_s")),
+                group_by=("call_type",),
+            ),
+            QuerySpec(
+                table="NMS",
+                select=(("NMS", "kpi"), ("NMS", "val")),
+                filters=(Filter("NMS", "drops", ">=", 0),),
+                order_by=(OrderSpec("c0"),),
+                limit=19,
+            ),
+            QuerySpec(
+                table="CDR",
+                select=(("CDR", "cell_id"),),
+                filters=(Filter("CDR", "duration_s", ">=", 30),),
+                union=QuerySpec(
+                    table="NMS",
+                    select=(("NMS", "cellid"),),
+                    filters=(Filter("NMS", "val", ">", 5),),
+                ),
+            ),
+            QuerySpec(
+                table="CDR",
+                select=(("CDR", "cell_id"), ("CDR", "duration_s")),
+                in_filters=(
+                    InSubquery(
+                        "CDR",
+                        "cell_id",
+                        QuerySpec(
+                            table="NMS",
+                            select=(("NMS", "cellid"),),
+                            filters=(Filter("NMS", "val", ">", 5),),
+                        ),
+                    ),
+                ),
+            ),
         ]
         try:
             for round_no in range(3):
                 for spate in (single, sharded):
                     db = spate.sql_database()
-                    for sql in queries:
-                        got = db.execute(sql)
-                        assert db.last_execution["engine"] == "vectorized"
-                        row = db.execute(sql, vectorized=False)
-                        assert got.columns == row.columns, sql
-                        assert got.rows == row.rows, (round_no, sql)
-                for sql in queries:
+                    tables = {
+                        name: spate.read_rows(name, 0, epochs - 1)
+                        for name in ("CDR", "NMS")
+                    }
+                    for spec in specs:
+                        _two_way(db, tables, spec)
+                for spec in specs:
+                    sql = render_sql(spec)
                     assert single.sql(sql).rows == sharded.sql(sql).rows
                 if round_no == 0:
                     for spate in (single, sharded):
@@ -866,7 +1168,7 @@ class TestDifferentialSqlSocketTransport:
     one reattaches to the surviving worker processes."""
 
     SOCKET_EPOCHS = 8
-    SEEDS = (200, 203, 206, 501)
+    SEEDS = (200, 203, 206, 501, 603)
 
     @pytest.fixture(scope="class")
     def socket_harness(self):
@@ -906,7 +1208,12 @@ class TestDifferentialSqlSocketTransport:
     @pytest.mark.parametrize("seed", SEEDS)
     def test_seeded_query_matches_inline_reference(self, socket_harness, seed):
         single, socketed, dbs, tables = socket_harness
-        spec = (random_spec_v2 if seed >= 500 else random_spec)(seed, tables)
+        generator = (
+            random_spec_sub
+            if seed >= 600
+            else random_spec_v2 if seed >= 500 else random_spec
+        )
+        spec = generator(seed, tables)
         sql = render_sql(spec)
         got = dbs["socket"].execute(sql)
         want = dbs["single"].execute(sql)

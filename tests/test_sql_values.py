@@ -1,7 +1,7 @@
 """Pins the SQL value-semantics truth table in ``repro.query.sql.values``.
 
-Every comparison, coercion, hashing, and ordering rule the row engine,
-the vectorized kernels, and zone-map pruning share lives in one module;
+Every comparison, coercion, hashing, and ordering rule the SQL kernels
+and zone-map pruning share lives in one module;
 these tests pin the documented truth table so a change there is a
 deliberate decision, not an accident that silently diverges a prune
 from a filter.
@@ -142,12 +142,24 @@ class TestOrdering:
 
 class TestExecutorBetweenNulls:
     """The PR-9 audit fix: BETWEEN with NULL on any side is false, like
-    every other comparison (it previously compared ``str(None)``)."""
+    every other comparison (it previously compared ``str(None)``).
 
-    @pytest.fixture()
-    def db(self):
+    Both table ingresses feed the kernels: a materialized table (its
+    column transpose and numeric views cached across statements) and a
+    lazy row loader (transposed afresh per statement)."""
+
+    @staticmethod
+    def _db(lazy: bool, name: str, columns, rows) -> Database:
         db = Database()
-        db.register_table(
+        if lazy:
+            db.register_lazy_table(name, columns, lambda: rows)
+        else:
+            db.register_table(name, columns, rows)
+        return db
+
+    def _bounds_db(self, lazy: bool) -> Database:
+        return self._db(
+            lazy,
             "T",
             ["v", "lo", "hi"],
             [
@@ -158,32 +170,28 @@ class TestExecutorBetweenNulls:
                 ["0", "1", "9"],   # outside
             ],
         )
-        return db
 
-    @pytest.mark.parametrize("vectorized", [True, False])
-    def test_between_null_is_false(self, db, vectorized):
-        got = db.execute(
-            "SELECT v FROM T WHERE v BETWEEN lo AND hi",
-            vectorized=vectorized,
-        )
-        assert got.rows == [["5"]]
+    @pytest.mark.parametrize("lazy", [True, False])
+    def test_between_null_is_false(self, lazy):
+        db = self._bounds_db(lazy)
+        for __ in range(2):  # second pass reads the cached views
+            got = db.execute("SELECT v FROM T WHERE v BETWEEN lo AND hi")
+            assert got.rows == [["5"]]
 
-    @pytest.mark.parametrize("vectorized", [True, False])
-    def test_not_between_null_is_false_too(self, db, vectorized):
+    @pytest.mark.parametrize("lazy", [True, False])
+    def test_not_between_null_is_false_too(self, lazy):
         # NOT BETWEEN is also a comparison: NULL rows fail it rather
         # than passing by double negation.
-        got = db.execute(
-            "SELECT v FROM T WHERE v NOT BETWEEN lo AND hi",
-            vectorized=vectorized,
+        got = self._bounds_db(lazy).execute(
+            "SELECT v FROM T WHERE v NOT BETWEEN lo AND hi"
         )
         assert got.rows == [["0"]]
 
-    @pytest.mark.parametrize("vectorized", [True, False])
-    def test_mixed_numeric_comparison_in_where(self, db, vectorized):
+    @pytest.mark.parametrize("lazy", [True, False])
+    def test_mixed_numeric_comparison_in_where(self, lazy):
         # "007"-style coercion through a real statement: int literal vs
         # string cells compares numerically.
-        db.register_table("U", ["n"], [["007"], ["7.0"], ["8"], ["x"]])
-        got = db.execute(
-            "SELECT n FROM U WHERE n = 7", vectorized=vectorized
-        )
-        assert got.rows == [["007"], ["7.0"]]
+        db = self._db(lazy, "U", ["n"], [["007"], ["7.0"], ["8"], ["x"]])
+        for __ in range(2):
+            got = db.execute("SELECT n FROM U WHERE n = 7")
+            assert got.rows == [["007"], ["7.0"]]

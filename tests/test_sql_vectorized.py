@@ -1,14 +1,16 @@
-"""Property tests: the vectorized engine is indistinguishable from the
-row engine.
+"""Property tests: the column-batch engine is indistinguishable from
+the naive reference.
 
-Hypothesis drives random predicates/aggregates/orderings over both a
-randomly drawn materialized table (adversarial cell values: empty
-strings, zero-padded numbers, floats, text) and a real ingested telco
-warehouse (scan path with pushdown and projection active).  For every
-statement the two engines must return byte-identical answers — or fail
-with the same exception class.  Degraded modes ride along: deadline
-truncation trips at the same stage and ``partial_ok`` scans report the
-same coverage under both engines.
+Hypothesis drives random predicates/aggregates/orderings/subqueries
+over both a randomly drawn materialized table (adversarial cell values:
+empty strings, zero-padded numbers, floats, text) and a real ingested
+telco warehouse (scan path with pushdown and projection active).  For
+every statement the engine must return exactly what
+:mod:`tests.sql_reference` computes.  Degraded modes ride along:
+deadline truncation trips at the first stage check, nested SELECTs
+included, ``partial_ok`` scans answer from the survivors and itemise
+what they skipped, and the column scan gatekeeps exactly like the row
+scan.
 """
 
 from __future__ import annotations
@@ -21,15 +23,17 @@ from hypothesis import strategies as st
 
 from repro.core import Spate, SpateConfig
 from repro.errors import QueryDeadlineError
-from repro.query.sql import Database
+from repro.query.sql import Database, parse_sql
 from repro.telco import TelcoTraceGenerator, TraceConfig
 
 from tests.sql_reference import (
     Agg,
     CaseSpec,
     Filter,
+    InSubquery,
     OrderSpec,
     QuerySpec,
+    ScalarCompare,
     evaluate,
     render_sql,
 )
@@ -49,8 +53,13 @@ AGG_FUNCS = ["COUNT", "SUM", "AVG", "MIN", "MAX"]
 def random_local_spec(rng: random.Random) -> QuerySpec:
     """A spec over the three-column table T, weighted toward shapes
     that stress coercion: filters on mixed cells, grouping on nullable
-    keys, ordering with ties, CASE, UNION."""
-    kind = rng.choice(["plain", "grouped", "order", "case", "union", "having"])
+    keys, ordering with ties, CASE, UNION, and subqueries whose pools
+    and scalars are drawn from the same adversarial cells (NULL keys on
+    both sides of IN)."""
+    kind = rng.choice(
+        ["plain", "grouped", "order", "case", "union", "having",
+         "in", "scalar", "from_sub"]
+    )
     filters = tuple(
         Filter("T", rng.choice(T_COLUMNS), rng.choice(OPS),
                rng.choice(CELL_POOL + [rng.randint(-2, 12)]))
@@ -103,6 +112,50 @@ def random_local_spec(rng: random.Random) -> QuerySpec:
             union_all=rng.random() < 0.5,
             limit=rng.randint(1, 20) if rng.random() < 0.5 else None,
         )
+    if kind == "in":
+        pool = QuerySpec(
+            table="T",
+            select=(("T", rng.choice(T_COLUMNS)),),
+            filters=(Filter("T", rng.choice(T_COLUMNS), rng.choice(OPS),
+                            rng.choice(CELL_POOL)),),
+        )
+        return QuerySpec(
+            table="T",
+            select=(("T", "k"), ("T", "v")),
+            filters=filters,
+            in_filters=(InSubquery("T", rng.choice(T_COLUMNS), pool,
+                                   negated=rng.random() < 0.5),),
+        )
+    if kind == "scalar":
+        bound = QuerySpec(
+            table="T",
+            aggs=(Agg(rng.choice(AGG_FUNCS), rng.choice(T_COLUMNS)),),
+            filters=filters[:1],
+        )
+        return QuerySpec(
+            table="T",
+            select=(("T", "k"), ("T", "w")),
+            scalar_filters=(ScalarCompare("T", rng.choice(T_COLUMNS),
+                                          rng.choice(OPS), bound),),
+        )
+    if kind == "from_sub":
+        key = rng.choice(T_COLUMNS)
+        inner = QuerySpec(
+            table="T",
+            select=(("T", key),),
+            aggs=(Agg("COUNT"),
+                  Agg(rng.choice(AGG_FUNCS), rng.choice(T_COLUMNS))),
+            filters=filters,
+            group_by=(key,),
+        )
+        return QuerySpec(
+            table="S",
+            source=inner,
+            select=(("S", "c0"), ("S", "a1")),
+            filters=(Filter("S", "a0", rng.choice(OPS), rng.randint(0, 3)),),
+            order_by=(OrderSpec("c1", ascending=rng.random() < 0.5),
+                      OrderSpec("c0"),),
+        )
     return QuerySpec(
         table="T",
         select=tuple(("T", c) for c in
@@ -112,14 +165,6 @@ def random_local_spec(rng: random.Random) -> QuerySpec:
     )
 
 
-def _run(db: Database, sql: str, vectorized: bool):
-    """(result, None) on success, (None, exception class name) on error."""
-    try:
-        return db.execute(sql, vectorized=vectorized), None
-    except Exception as exc:  # noqa: BLE001 — parity is the property
-        return None, type(exc).__name__
-
-
 @given(
     rows=st.lists(
         st.tuples(*[st.sampled_from(CELL_POOL)] * len(T_COLUMNS)),
@@ -127,24 +172,20 @@ def _run(db: Database, sql: str, vectorized: bool):
     ),
     seed=st.integers(0, 2**32 - 1),
 )
-@settings(max_examples=60, deadline=None)
+@settings(max_examples=90, deadline=None)
 def test_engines_agree_on_random_tables(rows, seed):
+    """Engine == reference on every generated statement (they are all
+    well-formed, so neither side may raise)."""
     db = Database()
     db.register_table("T", list(T_COLUMNS), [list(r) for r in rows])
     spec = random_local_spec(random.Random(seed))
     sql = render_sql(spec)
-    got, got_err = _run(db, sql, vectorized=True)
-    want, want_err = _run(db, sql, vectorized=False)
-    assert got_err == want_err, sql
-    if got_err is None:
-        assert got.columns == want.columns, sql
-        assert got.rows == want.rows, sql
-        # And the naive reference concurs on well-formed statements.
-        ref_columns, ref_rows = evaluate(
-            spec, {"T": (list(T_COLUMNS), [list(r) for r in rows])}
-        )
-        assert got.columns == ref_columns, sql
-        assert got.rows == ref_rows, sql
+    got = db.execute(sql)
+    ref_columns, ref_rows = evaluate(
+        spec, {"T": (list(T_COLUMNS), [list(r) for r in rows])}
+    )
+    assert got.columns == ref_columns, sql
+    assert got.rows == ref_rows, sql
 
 
 # ----------------------------------------------------------------------
@@ -175,32 +216,34 @@ WAREHOUSE_COLUMNS = {
 }
 
 
-def random_warehouse_sql(rng: random.Random, tables) -> str:
+def random_warehouse_spec(rng: random.Random, tables) -> QuerySpec:
     table = rng.choice(["CDR", "NMS"])
     columns, rows = tables[table]
     pool = WAREHOUSE_COLUMNS[table]
-    conjuncts = []
+    filters = []
     for __ in range(rng.randint(0, 2)):
         column = rng.choice(pool)
         idx = columns.index(column)
         values = [r[idx] for r in rows if r[idx] != ""] or ["0"]
         value = rng.choice(values)
-        literal = value if value.lstrip("-").isdigit() else f"'{value}'"
-        conjuncts.append(f"{column} {rng.choice(OPS)} {literal}")
-    where = f" WHERE {' AND '.join(conjuncts)}" if conjuncts else ""
+        literal = int(value) if value.lstrip("-").isdigit() else value
+        filters.append(Filter(table, column, rng.choice(OPS), literal))
     if rng.random() < 0.5:
         key = "call_type" if table == "CDR" else "kpi"
-        numeric = rng.choice(pool[:2])
-        return (
-            f"SELECT {key} AS c0, COUNT(*) AS a0, "
-            f"{rng.choice(AGG_FUNCS)}({numeric}) AS a1 "
-            f"FROM {table}{where} GROUP BY {key}"
+        return QuerySpec(
+            table=table,
+            select=((table, key),),
+            aggs=(Agg("COUNT"),
+                  Agg(rng.choice(AGG_FUNCS), rng.choice(pool[:2]))),
+            filters=tuple(filters),
+            group_by=(key,),
         )
-    picked = ", ".join(
-        f"{c} AS c{i}" for i, c in enumerate(rng.sample(pool, 2))
+    return QuerySpec(
+        table=table,
+        select=tuple((table, c) for c in rng.sample(pool, 2)),
+        filters=tuple(filters),
+        limit=rng.randint(1, 30) if rng.random() < 0.5 else None,
     )
-    suffix = f" LIMIT {rng.randint(1, 30)}" if rng.random() < 0.5 else ""
-    return f"SELECT {picked} FROM {table}{where}{suffix}"
 
 
 @given(seed=st.integers(0, 2**32 - 1))
@@ -211,13 +254,19 @@ def random_warehouse_sql(rng: random.Random, tables) -> str:
 )
 def test_engines_agree_on_warehouse_scans(warehouse, seed):
     spate, db, tables = warehouse
-    sql = random_warehouse_sql(random.Random(seed), tables)
-    got, got_err = _run(db, sql, vectorized=True)
-    want, want_err = _run(db, sql, vectorized=False)
-    assert got_err == want_err, sql
-    if got_err is None:
-        assert got.columns == want.columns, sql
-        assert got.rows == want.rows, sql
+    spec = random_warehouse_spec(random.Random(seed), tables)
+    sql = render_sql(spec)
+    got = db.execute(sql)
+    ref_columns, ref_rows = evaluate(spec, tables)
+    assert got.columns == ref_columns, sql
+    assert got.rows == ref_rows, sql
+
+
+def _coverage(spate) -> dict:
+    return {
+        k: dict(v) if isinstance(v, dict) else list(v)
+        for k, v in spate.last_scan_coverage.items()
+    }
 
 
 @given(seed=st.integers(0, 2**32 - 1))
@@ -227,23 +276,21 @@ def test_engines_agree_on_warehouse_scans(warehouse, seed):
     suppress_health_check=[HealthCheck.function_scoped_fixture],
 )
 def test_scan_coverage_parity(warehouse, seed):
-    """Both engines drive the same gatekeeping: identical epochs
-    served/pruned for the same pushed predicates."""
+    """The column scan that feeds SQL and the row scan (still the
+    ``Framework`` contract) drive the same gatekeeping: identical epochs
+    served/pruned for the same pushed predicates and projection."""
     spate, db, tables = warehouse
-    sql = random_warehouse_sql(random.Random(seed), tables)
-    got_err = _run(db, sql, vectorized=True)[1]
-    vec_cov = {
-        k: dict(v) if isinstance(v, dict) else list(v)
-        for k, v in spate.last_scan_coverage.items()
-    }
-    want_err = _run(db, sql, vectorized=False)[1]
-    row_cov = {
-        k: dict(v) if isinstance(v, dict) else list(v)
-        for k, v in spate.last_scan_coverage.items()
-    }
-    assert got_err == want_err, sql
-    if got_err is None:
-        assert vec_cov == row_cov, sql
+    spec = random_warehouse_spec(random.Random(seed), tables)
+    sql = render_sql(spec)
+    db.execute(sql)
+    column_coverage = _coverage(spate)
+    db._plan_scan_hints(parse_sql(sql))
+    predicates, projected = db._scan_hints[spec.table]
+    db._scan_hints = {}
+    spate.read_rows(
+        spec.table, 0, EPOCHS - 1, predicates=predicates, columns=projected
+    )
+    assert column_coverage == _coverage(spate), sql
 
 
 # ----------------------------------------------------------------------
@@ -260,26 +307,29 @@ class TestDegradedParity:
             executor_module.time, "monotonic", lambda: float(next(ticks))
         )
 
-    @pytest.mark.parametrize("vectorized", [True, False])
+    @pytest.mark.parametrize("subquery", [True, False])
     def test_deadline_trips_at_the_same_stage(
-        self, warehouse, monkeypatch, vectorized
+        self, warehouse, monkeypatch, subquery
     ):
-        """With a clock that jumps 100 s per reading, both engines blow
-        the deadline on their first stage check — and because the
-        vectorized engine marks the same stages at the same points, the
-        error text (which names the stage) is identical."""
+        """With a clock that jumps 100 s per reading the deadline blows
+        on the first stage check, and the error names that stage.  A
+        nested SELECT runs inside the same executor, so it shares the
+        budget: its own first stage check is the one that trips."""
         spate, __, tables = warehouse
         db = spate.sql_database()
         sql = "SELECT call_type AS c0, COUNT(*) AS a0 FROM CDR GROUP BY call_type"
+        if subquery:
+            sql = f"SELECT s.c0, s.a0 FROM ({sql}) s WHERE s.a0 > 0"
         self._ticking_clock(monkeypatch)
         with pytest.raises(QueryDeadlineError) as excinfo:
-            db.execute(sql, deadline_ms=1000, vectorized=vectorized)
+            db.execute(sql, deadline_ms=1000)
         assert "scan/join" in str(excinfo.value)
 
     def test_partial_ok_coverage_parity_with_dead_leaf(self):
-        """Destroy one leaf's every replica: with ``partial_ok`` both
-        engines answer from the survivors and report the identical
-        skipped epoch."""
+        """Destroy one leaf's every replica: with ``partial_ok`` the
+        engine answers from the survivors — exactly the reference's
+        answer over the surviving epochs' rows — and reports the skipped
+        epoch."""
         from tests.test_degraded_queries import destroy_leaf
 
         trace = TraceConfig(scale=0.002, days=1, seed=41)
@@ -289,21 +339,26 @@ class TestDegradedParity:
         for epoch in range(10):
             spate.ingest(generator.snapshot(epoch))
         spate.finalize()
+        columns, early = spate.read_rows("CDR", 0, 3)
+        __, late = spate.read_rows("CDR", 5, 9)
         destroy_leaf(spate, 4)
 
         db = spate.sql_database(0, 9, partial_ok=True)
-        sql = "SELECT call_type AS c0, COUNT(*) AS a0 FROM CDR GROUP BY call_type"
-        got = db.execute(sql)
-        vec_cov = {
-            "served": list(spate.last_scan_coverage["epochs_served"]),
-            "skipped": dict(spate.last_scan_coverage["epochs_skipped"]),
-        }
-        want = db.execute(sql, vectorized=False)
-        row_cov = {
-            "served": list(spate.last_scan_coverage["epochs_served"]),
-            "skipped": dict(spate.last_scan_coverage["epochs_skipped"]),
-        }
-        assert got.rows == want.rows
-        assert vec_cov == row_cov
-        assert list(vec_cov["skipped"]) == [4]
-        assert 4 not in vec_cov["served"]
+        spec = QuerySpec(
+            table="CDR",
+            select=(("CDR", "call_type"),),
+            aggs=(Agg("COUNT"),),
+            group_by=("call_type",),
+        )
+        got = db.execute(render_sql(spec))
+        coverage = spate.last_scan_coverage
+        want_columns, want_rows = evaluate(
+            spec, {"CDR": (columns, early + late)}
+        )
+        assert got.columns == want_columns
+        assert got.rows == want_rows
+        assert list(coverage["epochs_skipped"]) == [4]
+        assert 4 not in coverage["epochs_served"]
+        assert db.scan_coverage["CDR"]["epochs_skipped"] == coverage[
+            "epochs_skipped"
+        ]
