@@ -12,7 +12,20 @@ All encoders operate on a list of string cells (one column) and return
 
 from __future__ import annotations
 
-from repro.compression.varint import decode_varint, encode_varint
+from collections import Counter
+from itertools import groupby, islice
+from operator import ne, sub
+from typing import Iterable
+
+from repro.compression.varint import (
+    decode_str,
+    decode_varint,
+    encode_str,
+    encode_varint,
+    unzigzag,
+    varint_len,
+    zigzag,
+)
 from repro.errors import CorruptStreamError
 
 _SEP = b"\x00"
@@ -41,31 +54,25 @@ def _check_consumed(data: bytes, pos: int, name: str) -> None:
         )
 
 
-def _encode_str(value: str) -> bytes:
-    raw = value.encode("utf-8")
-    return encode_varint(len(raw)) + raw
+#: ``(cell -> occurrences in first-seen order, runs of equal cells)``.
+ColumnProfile = tuple[Counter, int]
 
 
-def _decode_str(data: bytes, pos: int) -> tuple[str, int]:
-    length, pos = decode_varint(data, pos)
-    raw = data[pos : pos + length]
-    if len(raw) != length:
-        raise CorruptStreamError("truncated string cell")
-    return raw.decode("utf-8"), pos + length
+def profile_column(cells: list[str]) -> ColumnProfile:
+    """One counted pass over a column (at C speed): what the encoding
+    choice and the typed-channel zone map both need to know about it."""
+    counts = Counter(cells)
+    if len(counts) <= 1:
+        return counts, len(counts)
+    return counts, sum(map(ne, cells, islice(cells, 1, None))) + 1
 
 
 def rle_encode(cells: list[str]) -> bytes:
     """Run-length encode: ``(run_length, value)`` pairs."""
     out = bytearray(encode_varint(len(cells)))
-    i = 0
-    n = len(cells)
-    while i < n:
-        j = i
-        while j < n and cells[j] == cells[i]:
-            j += 1
-        out += encode_varint(j - i)
-        out += _encode_str(cells[i])
-        i = j
+    for value, run in groupby(cells):
+        out += encode_varint(len(list(run)))
+        out += encode_str(value)
     return bytes(out)
 
 
@@ -90,7 +97,7 @@ def rle_decode(data: bytes, expected_cells: int | None = None) -> list[str]:
             # Checked before the allocation so a corrupt run length can
             # never materialise more cells than the header declared.
             raise CorruptStreamError("RLE runs exceed declared cell count")
-        value, pos = _decode_str(data, pos)
+        value, pos = decode_str(data, pos)
         cells.extend([value] * run)
     _check_consumed(data, pos, "rle")
     return cells
@@ -102,14 +109,11 @@ def delta_encode(cells: list[str]) -> bytes:
     Raises:
         ValueError: if any cell is not an integer literal.
     """
-    out = bytearray(encode_varint(len(cells)))
-    prev = 0
-    for cell in cells:
-        value = int(cell)
-        diff = value - prev
-        out += encode_varint(_zigzag(diff))
-        prev = value
-    return bytes(out)
+    values = list(map(int, cells))
+    folded = list(map(zigzag, map(sub, values, [0] + values)))
+    if max(folded, default=0) < 128:  # each is its own one-byte varint
+        return encode_varint(len(cells)) + bytes(folded)
+    return encode_varint(len(cells)) + b"".join(map(encode_varint, folded))
 
 
 def delta_decode(data: bytes, expected_cells: int | None = None) -> list[str]:
@@ -120,7 +124,7 @@ def delta_decode(data: bytes, expected_cells: int | None = None) -> list[str]:
     prev = 0
     for __ in range(total):
         encoded, pos = decode_varint(data, pos)
-        prev += _unzigzag(encoded)
+        prev += unzigzag(encoded)
         cells.append(str(prev))
     _check_consumed(data, pos, "delta")
     return cells
@@ -128,21 +132,18 @@ def delta_decode(data: bytes, expected_cells: int | None = None) -> list[str]:
 
 def dictionary_encode(cells: list[str]) -> bytes:
     """Dictionary encode: value table + per-cell code varints."""
-    table: dict[str, int] = {}
-    codes: list[int] = []
-    for cell in cells:
-        code = table.get(cell)
-        if code is None:
-            code = len(table)
-            table[cell] = code
-        codes.append(code)
-    out = bytearray(encode_varint(len(cells)))
-    out += encode_varint(len(table))
-    for value in table:  # insertion order == code order
-        out += _encode_str(value)
-    for code in codes:
-        out += encode_varint(code)
-    return bytes(out)
+    # First-seen order == code order.
+    table = {value: code for code, value in enumerate(dict.fromkeys(cells))}
+    codes = map(table.__getitem__, cells)
+    return b"".join(
+        (
+            encode_varint(len(cells)),
+            encode_varint(len(table)),
+            *map(encode_str, table),
+            # Codes below 128 are their own one-byte varints.
+            bytes(codes) if len(table) <= 128 else b"".join(map(encode_varint, codes)),
+        )
+    )
 
 
 def dictionary_decode(data: bytes, expected_cells: int | None = None) -> list[str]:
@@ -153,7 +154,7 @@ def dictionary_decode(data: bytes, expected_cells: int | None = None) -> list[st
     _check_total(table_size)
     table: list[str] = []
     for __ in range(table_size):
-        value, pos = _decode_str(data, pos)
+        value, pos = decode_str(data, pos)
         table.append(value)
     cells: list[str] = []
     for __ in range(total):
@@ -167,10 +168,7 @@ def dictionary_decode(data: bytes, expected_cells: int | None = None) -> list[st
 
 def plain_encode(cells: list[str]) -> bytes:
     """Length-prefixed plain encoding (fallback for high-entropy columns)."""
-    out = bytearray(encode_varint(len(cells)))
-    for cell in cells:
-        out += _encode_str(cell)
-    return bytes(out)
+    return encode_varint(len(cells)) + b"".join(map(encode_str, cells))
 
 
 def plain_decode(data: bytes, expected_cells: int | None = None) -> list[str]:
@@ -179,7 +177,7 @@ def plain_decode(data: bytes, expected_cells: int | None = None) -> list[str]:
     _check_total(total, expected_cells)
     cells: list[str] = []
     for __ in range(total):
-        value, pos = _decode_str(data, pos)
+        value, pos = decode_str(data, pos)
         cells.append(value)
     _check_consumed(data, pos, "plain")
     return cells
@@ -195,7 +193,7 @@ _ENCODING_IDS = {name: i for i, name in enumerate(sorted(_ENCODINGS))}
 _ID_ENCODINGS = {i: name for name, i in _ENCODING_IDS.items()}
 
 
-def choose_encoding(cells: list[str]) -> str:
+def choose_encoding(cells: list[str], profile: ColumnProfile | None = None) -> str:
     """Pick the cheapest encoding for a column by simple heuristics.
 
     Long runs favour RLE; small distinct sets favour dictionary;
@@ -205,30 +203,39 @@ def choose_encoding(cells: list[str]) -> str:
     """
     if not cells:
         return "plain"
-    distinct = set(cells)
-    if len(distinct) == 1:
+    counts, runs = profile_column(cells) if profile is None else profile
+    if len(counts) == 1 or runs <= len(cells) // 4:
         return "rle"
-    runs = sum(1 for a, b in zip(cells, cells[1:]) if a != b) + 1
-    if runs <= len(cells) // 4:
-        return "rle"
-    if _all_ints(cells):
+    if _all_ints(counts):
         return "delta"
-    if len(distinct) <= max(16, len(cells) // 8):
+    if len(counts) <= max(16, len(cells) // 8):
         return "dict"
     return "plain"
 
 
 def _plain_size(cells: list[str]) -> int:
     """Encoded size of the plain transform, without building it."""
-    size = len(encode_varint(len(cells)))
+    joined = "".join(cells)
+    if joined.isascii() and max(map(len, cells), default=0) < 128:
+        # One length byte per cell, one byte per character.
+        return varint_len(len(cells)) + len(cells) + len(joined)
+    size = varint_len(len(cells))
     for cell in cells:
         raw_len = len(cell.encode("utf-8"))
-        size += len(encode_varint(raw_len)) + raw_len
+        size += varint_len(raw_len) + raw_len
     return size
 
 
-def encode_column(cells: list[str], encoding: str | None = None) -> bytes:
+def encode_column(
+    cells: list[str],
+    encoding: str | None = None,
+    profile: ColumnProfile | None = None,
+) -> bytes:
     """Encode one column, auto-selecting the transform unless given.
+
+    ``profile`` is the column's :func:`profile_column` when the caller
+    already holds it (the typed-channel writer shares one with its zone
+    map); it only saves the recount.
 
     The chosen encoding id is stored in the first byte so decoding is
     self-describing.  Auto-selection never returns a transform larger
@@ -236,7 +243,7 @@ def encode_column(cells: list[str], encoding: str | None = None) -> bytes:
     table overhead dominates, alternating values, adversarial runs) are
     re-encoded plain.
     """
-    name = encoding or choose_encoding(cells)
+    name = encoding or choose_encoding(cells, profile)
     encode, __ = _ENCODINGS[name]
     out = bytes([_ENCODING_IDS[name]]) + encode(cells)
     if encoding is None and name != "plain" and len(out) - 1 > _plain_size(cells):
@@ -281,8 +288,9 @@ def decode_column(data: bytes, expected_cells: int | None = None) -> list[str]:
 _DELTA_BOUND = 1 << 62
 
 
-def _all_ints(cells: list[str]) -> bool:
-    """True when every cell is a *canonical* bounded integer literal.
+def _all_ints(cells: Iterable[str]) -> bool:
+    """True when every cell is a *canonical* bounded integer literal
+    (a column's distinct values decide it for the whole column).
 
     Canonical matters: delta round-trips through ``int``, so "007",
     "-0" or non-ASCII digits would come back re-normalised — silent
@@ -298,14 +306,3 @@ def _all_ints(cells: list[str]) -> bool:
         if str(value) != cell or not -_DELTA_BOUND < value < _DELTA_BOUND:
             return False
     return True
-
-
-def _zigzag(value: int) -> int:
-    # Arbitrary-precision form: Python ints are unbounded, so the
-    # C-style ``(v << 1) ^ (v >> 63)`` trick mis-folds values beyond 64
-    # bits instead of wrapping like it would in C.
-    return ((-value) << 1) - 1 if value < 0 else value << 1
-
-
-def _unzigzag(value: int) -> int:
-    return (value >> 1) ^ -(value & 1)

@@ -48,25 +48,40 @@ Container format (all integers LEB128 varints)::
             [n_distinct, n x (len, utf8 value)]
         n_columns x zlib(encoded channel)
 
-The columnar mode keeps each column's ``encode_column`` bytes exactly
-as they appeared inside the ``COL1`` container, so decompression is a
-pure reassembly — byte identity by construction.  The row mode
-re-derives channels from the parsed table and verifies the full round
-trip at compress time before committing to it.
+Writing is one counted pass per column (:func:`build_channel`): the
+cells are profiled once, and that profile picks the transform, builds
+the zone map and is then dropped — nothing is decoded back.  Ingest
+hands the cells over directly (:func:`pack_cells` and its two halves);
+``compress(bytes)`` is an adapter that recovers the cells from a
+serialized payload first.  The columnar mode keeps each column's
+``encode_column`` bytes exactly as they appear inside the ``COL1``
+container, so decompression is a pure reassembly — byte identity by
+construction.  The row mode builds its channels from the parsed table,
+after checking that the table's text form is exactly the payload.
 """
 
 from __future__ import annotations
 
 import zlib
 from dataclasses import dataclass, field
+from itertools import repeat
+from typing import Mapping, NamedTuple
 
 from repro.compression.base import Codec, register_codec
 from repro.compression.columnar import (
     MAX_COLUMN_CELLS,
     decode_column,
     encode_column,
+    profile_column,
 )
-from repro.compression.varint import decode_varint, encode_varint
+from repro.compression.varint import (
+    decode_str,
+    decode_varint,
+    encode_str,
+    encode_varint,
+    unzigzag,
+    zigzag,
+)
 from repro.core.snapshot import Table
 from repro.errors import CorruptStreamError
 
@@ -90,23 +105,6 @@ _COLUMNAR_MAGIC = b"COL1"
 DISTINCT_CAP = 64
 
 _ZLIB_LEVEL = 6
-
-
-def _zigzag(value: int) -> int:
-    return ((-value) << 1) - 1 if value < 0 else value << 1
-
-
-def _unzigzag(value: int) -> int:
-    return (value >> 1) ^ -(value & 1)
-
-
-def _try_int(cell: str) -> int | None:
-    """The integer view of a cell under SQL coercion (``int(str)``), or
-    None — mirrors how the executor numeric-compares cell strings."""
-    try:
-        return int(cell)
-    except ValueError:
-        return None
 
 
 @dataclass(frozen=True)
@@ -194,68 +192,119 @@ class ChannelReadStats:
     bytes_skipped: int
 
 
-def _zone_map_for(name: str, cells: list[str]) -> "_ZoneBuild":
-    null_count = 0
-    int_count = 0
-    int_min = 0
-    int_max = 0
-    distinct: set[str] | None = set()
-    for cell in cells:
-        if cell == "":
-            null_count += 1
-        value = _try_int(cell)
-        if value is not None:
-            if int_count == 0:
-                int_min = int_max = value
-            else:
-                int_min = min(int_min, value)
-                int_max = max(int_max, value)
-            int_count += 1
-        if distinct is not None:
-            distinct.add(cell)
-            if len(distinct) > DISTINCT_CAP:
-                distinct = None
-    return _ZoneBuild(
-        name=name,
-        null_count=null_count,
-        int_count=int_count,
-        int_min=int_min,
-        int_max=int_max,
-        distinct=None if distinct is None else tuple(sorted(distinct)),
-    )
-
-
 @dataclass
 class _ZoneBuild:
-    name: str
     null_count: int
     int_count: int
     int_min: int
     int_max: int
     distinct: tuple[str, ...] | None
+    name: str = ""  # descriptive only: the container takes names from ``columns``
 
 
-def _encode_str(value: str) -> bytes:
-    raw = value.encode("utf-8")
-    return encode_varint(len(raw)) + raw
-
-
-def _decode_str(data: bytes, pos: int) -> tuple[str, int]:
-    length, pos = decode_varint(data, pos)
-    raw = data[pos : pos + length]
-    if len(raw) != length:
-        raise CorruptStreamError("truncated typed-channel string")
-    try:
-        return raw.decode("utf-8"), pos + length
-    except UnicodeDecodeError as exc:
-        raise CorruptStreamError(
-            f"typed-channel string is not UTF-8: {exc}"
-        ) from exc
+def _zone_map_for(counts: Mapping[str, int]) -> _ZoneBuild:
+    """Zone map of a column from its value counts — the only place one
+    is built.  A cell's integer view is SQL coercion (``int(str)``,
+    mirroring how the executor numeric-compares cell strings) and
+    depends on the value alone, so it is evaluated per distinct value
+    and weighted by the value's count."""
+    int_count = 0
+    int_min = 0
+    int_max = 0
+    for cell, count in counts.items():
+        try:
+            value = int(cell)
+        except ValueError:
+            continue
+        if int_count == 0:
+            int_min = int_max = value
+        else:
+            int_min = min(int_min, value)
+            int_max = max(int_max, value)
+        int_count += count
+    return _ZoneBuild(
+        null_count=counts.get("", 0),
+        int_count=int_count,
+        int_min=int_min,
+        int_max=int_max,
+        distinct=tuple(sorted(counts)) if len(counts) <= DISTINCT_CAP else None,
+    )
 
 
 # ----------------------------------------------------------------------
 # Container assembly / parsing
 # ----------------------------------------------------------------------
+
+
+class Channel(NamedTuple):
+    """One column ready for the container (picklable: process backends
+    return it from :func:`build_channel`)."""
+
+    zone: _ZoneBuild
+    #: ``encode_column`` bytes before the zlib stage.
+    raw_len: int
+    packed: bytes
+
+
+def _seal(zone: _ZoneBuild, encoded: bytes) -> Channel:
+    return Channel(zone, len(encoded), zlib.compress(encoded, _ZLIB_LEVEL))
+
+
+def build_channel(cells: list[str], encoded: bytes | None = None) -> Channel:
+    """The per-column write unit: profile → ``encode_column`` → zone
+    map → DEFLATE, one counted pass over the cells.
+
+    Args:
+        encoded: the column's ``encode_column`` bytes when the caller
+            already holds them (a ``COL1`` payload being re-expressed);
+            kept verbatim, so only the zone map and DEFLATE remain.
+    """
+    profile = profile_column(cells)
+    if encoded is None:
+        encoded = encode_column(cells, profile=profile)
+    return _seal(_zone_map_for(profile[0]), encoded)
+
+
+def assemble_channels(
+    columns: list[str],
+    n_rows: int,
+    channels: list[Channel],
+    mode: int = _MODE_COLUMNAR,
+) -> bytes:
+    """Join built channels (in column order) into the ``TCH1`` blob."""
+    parts = [_MAGIC, bytes([mode]), encode_varint(len(columns)), encode_varint(n_rows)]
+    parts += map(encode_str, columns)
+    for zone, raw_len, packed in channels:
+        parts += (
+            encode_varint(len(packed)),
+            encode_varint(raw_len),
+            encode_varint(zone.null_count),
+            encode_varint(zone.int_count),
+            encode_varint(zigzag(zone.int_min)),
+            encode_varint(zigzag(zone.int_max)),
+        )
+        if zone.distinct is not None:
+            parts += (b"\x01", encode_varint(len(zone.distinct)))
+            parts += map(encode_str, zone.distinct)
+        else:
+            parts.append(b"\x00")
+    parts += [channel.packed for channel in channels]
+    return b"".join(parts)
+
+
+def pack_cells(
+    columns: list[str],
+    n_rows: int,
+    cell_lists: list[list[str]],
+    encoded: list[bytes] | None = None,
+    mode: int = _MODE_COLUMNAR,
+) -> bytes:
+    """The cells entry: per-column cell lists (each ``n_rows`` long) in,
+    ``TCH1`` blob out.  Ingest runs its two halves around the executor
+    (:func:`build_channel` fanned out, :func:`assemble_channels` per
+    table); ``encoded`` is passed through to :func:`build_channel`."""
+    channels = map(build_channel, cell_lists, encoded or repeat(None))
+    return assemble_channels(columns, n_rows, list(channels), mode)
 
 
 def _assemble(
@@ -265,30 +314,11 @@ def _assemble(
     zones: list[_ZoneBuild],
     encoded_bodies: list[bytes],
 ) -> bytes:
-    out = bytearray(_MAGIC)
-    out.append(mode)
-    out += encode_varint(len(columns))
-    out += encode_varint(n_rows)
-    for column in columns:
-        out += _encode_str(column)
-    compressed = [zlib.compress(body, _ZLIB_LEVEL) for body in encoded_bodies]
-    for zone, body, packed in zip(zones, encoded_bodies, compressed):
-        out += encode_varint(len(packed))
-        out += encode_varint(len(body))
-        out += encode_varint(zone.null_count)
-        out += encode_varint(zone.int_count)
-        out += encode_varint(_zigzag(zone.int_min))
-        out += encode_varint(_zigzag(zone.int_max))
-        if zone.distinct is not None:
-            out.append(1)
-            out += encode_varint(len(zone.distinct))
-            for value in zone.distinct:
-                out += _encode_str(value)
-        else:
-            out.append(0)
-    for packed in compressed:
-        out += packed
-    return bytes(out)
+    """Assemble from hand-made zone maps — how the fuzz suite forges
+    headers the writer itself never emits."""
+    return assemble_channels(
+        columns, n_rows, list(map(_seal, zones, encoded_bodies)), mode
+    )
 
 
 def read_header(blob: bytes) -> TypedChannelHeader | None:
@@ -324,7 +354,7 @@ def read_header(blob: bytes) -> TypedChannelHeader | None:
         )
     columns: list[str] = []
     for __ in range(n_columns):
-        name, pos = _decode_str(blob, pos)
+        name, pos = decode_str(blob, pos)
         columns.append(name)
     zones: list[ChannelZoneMap] = []
     for name in columns:
@@ -348,7 +378,7 @@ def read_header(blob: bytes) -> TypedChannelHeader | None:
                 )
             values = []
             for __ in range(n_distinct):
-                value, pos = _decode_str(blob, pos)
+                value, pos = decode_str(blob, pos)
                 values.append(value)
             distinct = tuple(values)
         zones.append(
@@ -358,8 +388,8 @@ def read_header(blob: bytes) -> TypedChannelHeader | None:
                 raw_len=raw_len,
                 null_count=null_count,
                 int_count=int_count,
-                int_min=_unzigzag(zz_min),
-                int_max=_unzigzag(zz_max),
+                int_min=unzigzag(zz_min),
+                int_max=unzigzag(zz_max),
                 distinct=distinct,
             )
         )
@@ -504,7 +534,7 @@ def _parse_columnar(data: bytes) -> tuple[list[str], int, list[bytes]] | None:
             return None
         columns: list[str] = []
         for __ in range(n_columns):
-            name, pos = _decode_str(data, pos)
+            name, pos = decode_str(data, pos)
             columns.append(name)
         bodies: list[bytes] = []
         for __ in range(n_columns):
@@ -528,7 +558,7 @@ def _reassemble_columnar(
     out += encode_varint(len(columns))
     out += encode_varint(n_rows)
     for column in columns:
-        out += _encode_str(column)
+        out += encode_str(column)
     for body in bodies:
         out += encode_varint(len(body))
         out += body
@@ -606,18 +636,15 @@ class TypedChannelCodec(Codec):
         if parsed is None:
             return None
         columns, n_rows, bodies = parsed
-        zones: list[_ZoneBuild] = []
         try:
-            for body in bodies:
-                cells = decode_column(body, expected_cells=n_rows)
-                zones.append(_zone_map_for("", cells))
+            cell_lists = [
+                decode_column(body, expected_cells=n_rows) for body in bodies
+            ]
         except CorruptStreamError:
             return None
-        for zone, column in zip(zones, columns):
-            zone.name = column
         # The original encode_column bytes are kept verbatim, so
         # decompression is reassembly: byte identity by construction.
-        return _assemble(_MODE_COLUMNAR, columns, n_rows, zones, bodies)
+        return pack_cells(columns, n_rows, cell_lists, encoded=bodies)
 
     def _pack_row(self, data: bytes) -> bytes | None:
         try:
@@ -631,12 +658,7 @@ class TypedChannelCodec(Codec):
             [row[position] for row in table.rows]
             for position in range(len(columns))
         ]
-        zones = [
-            _zone_map_for(name, cells)
-            for name, cells in zip(columns, cell_lists)
-        ]
-        bodies = [encode_column(cells) for cells in cell_lists]
-        return _assemble(_MODE_ROW, columns, len(table.rows), zones, bodies)
+        return pack_cells(columns, len(table.rows), cell_lists, mode=_MODE_ROW)
 
 
 __all__ = [
@@ -646,8 +668,11 @@ __all__ = [
     "TYPEDCHANNEL_NAME",
     "TypedChannelCodec",
     "TypedChannelHeader",
+    "assemble_channels",
+    "build_channel",
     "decode_columns",
     "decode_table",
+    "pack_cells",
     "read_header",
     "table_from_columns",
 ]

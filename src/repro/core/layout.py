@@ -16,7 +16,13 @@ Both round-trip exactly; the layout ablation bench and the
 from __future__ import annotations
 
 from repro.compression.columnar import MAX_COLUMN_CELLS, decode_column, encode_column
-from repro.compression.varint import decode_varint, encode_varint
+from repro.compression.varint import (
+    decode_str,
+    decode_varint,
+    encode_str,
+    encode_varint,
+    varint_len,
+)
 from repro.core.snapshot import Table
 from repro.errors import ConfigError, CorruptStreamError
 
@@ -97,13 +103,24 @@ def assemble_columnar(table: Table, encoded_columns: list[bytes]) -> bytes:
     out += encode_varint(len(table.columns))
     out += encode_varint(len(table.rows))
     for column in table.columns:
-        raw = column.encode("utf-8")
-        out += encode_varint(len(raw))
-        out += raw
+        out += encode_str(column)
     for encoded in encoded_columns:
         out += encode_varint(len(encoded))
         out += encoded
     return bytes(out)
+
+
+def columnar_size(table: Table, encoded_lengths: list[int]) -> int:
+    """``len(assemble_columnar(table, encoded_columns))`` from the
+    encoded columns' lengths alone — the layout-serialised size of a
+    table whose columnar blob is never materialised."""
+    return (
+        len(_COLUMNAR_MAGIC)
+        + varint_len(len(table.columns))
+        + varint_len(len(table.rows))
+        + sum(len(encode_str(column)) for column in table.columns)
+        + sum(varint_len(length) + length for length in encoded_lengths)
+    )
 
 
 def _serialize_columnar(table: Table) -> bytes:
@@ -159,12 +176,8 @@ def _decode_columnar_columns(
         )
     columns: list[str] = []
     for __ in range(n_columns):
-        length, pos = decode_varint(data, pos)
-        raw = data[pos : pos + length]
-        if len(raw) != length:
-            raise CorruptStreamError("truncated columnar column name")
-        columns.append(raw.decode("utf-8"))
-        pos += length
+        name, pos = decode_str(data, pos)
+        columns.append(name)
     wanted = None if projection is None else set(projection)
     column_values: list[list[str]] = []
     blanks = [""] * n_rows

@@ -22,11 +22,14 @@ class DataNode:
     capacity: int | None = None  # bytes; None = unbounded
     alive: bool = True
     _blocks: dict[BlockId, tuple[bytes, int]] = field(default_factory=dict, repr=False)
+    #: Running total behind :attr:`used_bytes` — replica placement sorts
+    #: on it for every write, so it is never recounted from the blocks.
+    _used_bytes: int = field(default=0, init=False, repr=False)
 
     @property
     def used_bytes(self) -> int:
         """Physical bytes stored on this node."""
-        return sum(len(data) for data, __ in self._blocks.values())
+        return self._used_bytes
 
     @property
     def block_count(self) -> int:
@@ -49,7 +52,11 @@ class DataNode:
             raise StorageError(f"datanode {self.node_id} is down")
         if self.capacity is not None and self.used_bytes + block.size > self.capacity:
             raise StorageError(f"datanode {self.node_id} is full")
+        replaced = self._blocks.get(block.block_id)
+        if replaced is not None:
+            self._used_bytes -= len(replaced[0])
         self._blocks[block.block_id] = (block.data, block.checksum)
+        self._used_bytes += len(block.data)
 
     def read(self, block_id: BlockId, verify: bool = True) -> bytes:
         """Serve a block replica, verifying its checksum by default.
@@ -96,7 +103,9 @@ class DataNode:
 
     def drop(self, block_id: BlockId) -> None:
         """Delete a replica if present (idempotent)."""
-        self._blocks.pop(block_id, None)
+        dropped = self._blocks.pop(block_id, None)
+        if dropped is not None:
+            self._used_bytes -= len(dropped[0])
 
     def has_block(self, block_id: BlockId) -> bool:
         """True when this node holds a replica of the block."""

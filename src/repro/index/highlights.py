@@ -398,39 +398,62 @@ def summarize_snapshot(
     snapshot: Snapshot,
     config: HighlightsConfig,
 ) -> HighlightSummary:
-    """Build the epoch-level summary of one snapshot."""
+    """Build the epoch-level summary of one snapshot.
+
+    Each tracked column is extracted once and summarized from its value
+    counts.  Key order decides WAL bytes: cells and values are keyed as
+    they arrive, attributes in tracked order — what folding the rows in
+    one by one gives, unless a column mixes integer and other values (a
+    cell's attributes were then keyed by first integer arrival).
+    """
     summary = HighlightSummary(level="epoch", period=str(snapshot.epoch))
     for table_name, table in snapshot.tables.items():
         tracked = config.tracked_attributes.get(table_name)
         if not tracked:
             continue
         present = [a for a in tracked if a in table.columns]
-        indexes = {a: table.column_index(a) for a in present}
         cell_col = CELL_COLUMN.get(table_name)
-        cell_idx = (
-            table.column_index(cell_col)
+        cell_ids = (
+            table.column_values(cell_col)
             if cell_col and cell_col in table.columns
             else None
         )
         summary.record_counts[table_name] = len(table)
         attr_summaries = summary.attributes.setdefault(table_name, {})
-        for name in present:
-            attr_summaries.setdefault(name, AttributeSummary())
         cells = summary.per_cell.setdefault(table_name, {})
-        if cell_idx is not None:
+        if cell_ids is not None:
             summary.cell_covered_rows[table_name] = len(table)
-        for row in table.rows:
-            cell_id = row[cell_idx] if cell_idx is not None else None
-            cell_attrs = cells.setdefault(cell_id, {}) if cell_id is not None else None
-            for name in present:
-                value = row[indexes[name]]
-                attr_summaries[name].add(value)
-                if cell_attrs is not None and value and _is_int(value):
-                    stats = cell_attrs.get(name)
-                    if stats is None:
-                        stats = cell_attrs[name] = NumericStats()
-                    stats.add(int(value))
+            for cell_id in dict.fromkeys(cell_ids):  # first-seen order
+                cells.setdefault(cell_id, {})
+        for name in present:
+            values = table.column_values(name)
+            counts = Counter(values)
+            ints = {v: int(v) for v in counts if _is_int(v)}
+            attr = attr_summaries.setdefault(name, AttributeSummary())
+            if len(counts) > attr.max_distinct:
+                for value in values:  # the cap makes arrival order matter
+                    attr.add(value)
+            else:
+                attr.categorical.counts.update(counts)
+                if ints and attr.numeric is None:
+                    attr.numeric = NumericStats()
+                for value, number in ints.items():
+                    attr.numeric.merge(_repeated(number, counts[value]))
+            if cell_ids is None or not ints:
+                continue
+            for (cell_id, value), times in Counter(zip(cell_ids, values)).items():
+                if value in ints:
+                    stats = _repeated(ints[value], times)
+                    if name in cells[cell_id]:
+                        cells[cell_id][name].merge(stats)
+                    else:
+                        cells[cell_id][name] = stats
     return summary
+
+
+def _repeated(value: int, times: int) -> NumericStats:
+    """The statistics of one value folded in ``times`` times."""
+    return NumericStats(times, value * times, value, value)
 
 
 def _is_int(value: str) -> bool:

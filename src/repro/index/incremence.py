@@ -13,15 +13,22 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass
+from itertools import islice, repeat
 
 from repro.compression.autotune import CodecSelector, pack_payload_task
 from repro.compression.base import Codec, get_codec
 from repro.compression.columnar import encode_column
+from repro.compression.typedchannel import (
+    TYPEDCHANNEL_NAME,
+    assemble_channels,
+    build_channel,
+)
 from repro.core.config import SpateConfig
 from repro.core.layout import (
     COLUMNAR_LAYOUT,
     assemble_columnar,
     columnar_column_cells,
+    columnar_size,
     serialize_table,
 )
 from repro.core.snapshot import Snapshot, Table
@@ -45,6 +52,9 @@ class IngestReport:
     #: Executor backend that ran the serialize/compress fan-out.
     executor: str = "serial"
     #: Tasks fanned out (tables, plus columns for the columnar layout).
+    #: For a table stored as typed channels a task is one column's whole
+    #: channel — profile, encode, zone map, DEFLATE — and there is no
+    #: per-table compress task.
     parallel_tasks: int = 0
     #: Serial-equivalent work: sum of per-task durations.
     task_seconds: float = 0.0
@@ -75,6 +85,13 @@ def _pack_table_task(args: tuple[str, str, Table]) -> tuple[int, bytes]:
     codec_name, layout, table = args
     payload = serialize_table(table, layout)
     return len(payload), get_codec(codec_name).compress(payload)
+
+
+def _call_task(call: tuple):
+    """Run one ``(function, *arguments)`` unit, so a single fan-out can
+    mix per-table compress tasks with per-column channel tasks."""
+    function, *arguments = call
+    return function(*arguments)
 
 
 def _serialize_table_task(args: tuple[str, Table]) -> bytes:
@@ -188,41 +205,21 @@ class IncremenceModule:
     ) -> tuple[dict[str, bytes], int, ExecutorRun, dict[str, str], dict[str, int]]:
         """Serialize + compress every table through the executor.
 
-        Row layout fans out one task per table.  Columnar layout first
-        fans out one encode task per column (across all tables), then
-        one compress task per assembled table — finer units keep wide
-        tables from serializing the whole stage.  In auto mode the row
-        layout also splits serialization from compression, because the
-        codec selector must sample each serialized payload in between.
+        Row layout fans out one task per table.  Columnar layout fans
+        out per column (across all tables): a table stored as typed
+        channels goes cells → channel in that one task and is only
+        joined afterwards; any other codec gets one encode task per
+        column, then one compress task per assembled table.  In auto
+        mode both layouts serialize first, because the codec selector
+        must sample each serialized payload before compression.
 
         Returns ``(compressed, raw_bytes, run, codecs, dicts)`` where
         ``codecs``/``dicts`` are the per-table codec names and shared-
         dictionary ids the leaf is tagged with.
         """
         codec_name = self._config.static_codec
-        payloads: dict[str, bytes] | None = None
-        if self._config.layout == COLUMNAR_LAYOUT and names:
-            per_table_cells = [
-                columnar_column_cells(snapshot.tables[name]) for name in names
-            ]
-            flat_cells = [cells for table in per_table_cells for cells in table]
-            encoded_flat, stage_run = self._executor.run(encode_column, flat_cells)
-            payloads = {}
-            position = 0
-            for name, table_cells in zip(names, per_table_cells):
-                count = len(table_cells)
-                payloads[name] = assemble_columnar(
-                    snapshot.tables[name],
-                    encoded_flat[position : position + count],
-                )
-                position += count
-        elif self._selector is not None and names:
-            serialized, stage_run = self._executor.run(
-                _serialize_table_task,
-                [(self._config.layout, snapshot.tables[name]) for name in names],
-            )
-            payloads = dict(zip(names, serialized))
-        if payloads is None:
+        columnar = self._config.layout == COLUMNAR_LAYOUT
+        if not names or (self._selector is None and not columnar):
             # Static codec, row layout: the fused serialize+compress task.
             packed, run = self._executor.run(
                 _pack_table_task,
@@ -238,27 +235,72 @@ class IncremenceModule:
             codecs = {name: codec_name for name in names}
             return compressed_tables, raw_bytes, run, codecs, {}
 
+        cells: dict[str, list[list[str]]] = {}
+        encoded: dict[str, list[bytes]] = {}
+        payloads: dict[str, bytes] = {}
+        stage_run: ExecutorRun | None = None
+        if not columnar:
+            serialized, stage_run = self._executor.run(
+                _serialize_table_task,
+                [(self._config.layout, snapshot.tables[name]) for name in names],
+            )
+            payloads = dict(zip(names, serialized))
+        else:
+            cells = {
+                name: columnar_column_cells(snapshot.tables[name]) for name in names
+            }
+            if self._selector is not None or codec_name != TYPEDCHANNEL_NAME:
+                encoded_flat, stage_run = self._executor.run(
+                    encode_column, [column for name in names for column in cells[name]]
+                )
+                remaining = iter(encoded_flat)
+                for name in names:
+                    encoded[name] = list(islice(remaining, len(cells[name])))
+                    payloads[name] = assemble_columnar(
+                        snapshot.tables[name], encoded[name]
+                    )
+
         codecs: dict[str, str] = {}
         dicts: dict[str, int] = {}
-        tasks: list[tuple[str, bytes | None, bytes]] = []
+        tasks: list[tuple] = []
         for name in names:
-            payload = payloads[name]
+            codecs[name], dict_blob = codec_name, None
             if self._selector is not None:
-                self._selector.observe(name, payload)
-                choice = self._selector.choose(name, payload)
+                self._selector.observe(name, payloads[name])
+                choice = self._selector.choose(name, payloads[name])
                 codecs[name] = choice.codec
                 if choice.dict_id is not None:
                     dicts[name] = choice.dict_id
-                tasks.append(
-                    (choice.codec, self._selector.dict_blob(choice.dict_id), payload)
+                dict_blob = self._selector.dict_blob(choice.dict_id)
+            if columnar and codecs[name] == TYPEDCHANNEL_NAME:
+                # The cells are in hand: no COL1 parse, no decode.
+                tasks += zip(
+                    repeat(build_channel),
+                    cells[name],
+                    encoded.get(name) or repeat(None),
                 )
             else:
-                codecs[name] = codec_name
-                tasks.append((codec_name, None, payload))
-        compressed_list, compress_run = self._executor.run(pack_payload_task, tasks)
-        raw_bytes = sum(len(payloads[name]) for name in names)
-        run = stage_run.merged(compress_run) if names else compress_run
-        return dict(zip(names, compressed_list)), raw_bytes, run, codecs, dicts
+                tasks.append(
+                    (pack_payload_task, (codecs[name], dict_blob, payloads[name]))
+                )
+        results, run = self._executor.run(_call_task, tasks)
+        remaining = iter(results)
+        compressed: dict[str, bytes] = {}
+        raw_bytes = 0
+        for name in names:
+            if columnar and codecs[name] == TYPEDCHANNEL_NAME:
+                table = snapshot.tables[name]
+                channels = list(islice(remaining, len(table.columns)))
+                compressed[name] = assemble_channels(
+                    table.columns, len(table.rows), channels
+                )
+                raw_bytes += columnar_size(table, [c.raw_len for c in channels])
+            else:
+                compressed[name] = next(remaining)
+                raw_bytes += len(payloads[name])
+        if stage_run is not None:
+            run = stage_run.merged(run)
+        return compressed, raw_bytes, run, codecs, dicts
 
     def index_leaf(self, leaf: SnapshotLeaf, summary: HighlightSummary) -> None:
         """Apply one stored snapshot to the index: append the leaf on

@@ -18,12 +18,24 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.compression import get_codec
+from repro.compression import typedchannel
+from repro.compression.columnar import encode_column
 from repro.compression.typedchannel import (
     DISTINCT_CAP,
+    _zone_map_for,
+    assemble_channels,
+    build_channel,
     decode_table,
+    pack_cells,
     read_header,
 )
-from repro.core.layout import deserialize_table, serialize_table
+from repro.core.layout import (
+    assemble_columnar,
+    columnar_column_cells,
+    columnar_size,
+    deserialize_table,
+    serialize_table,
+)
 from repro.core.snapshot import Table
 from repro.errors import CorruptStreamError
 
@@ -249,3 +261,169 @@ class TestProperties:
     def test_property_total_on_arbitrary_bytes(self, data):
         codec = get_codec("typedchannel")
         assert codec.decompress(codec.compress(data)) == data
+
+
+# ----------------------------------------------------------------------
+# The cells entry (PR 15): cells -> channels without the COL1 round trip
+# ----------------------------------------------------------------------
+
+
+def _reference_zone_map(cells):
+    """The per-cell zone-map loop the counted pass replaced, verbatim:
+    ``int()`` once per cell, distinct set dropped past the cap."""
+    null_count = 0
+    int_count = 0
+    int_min = 0
+    int_max = 0
+    distinct = set()
+    for cell in cells:
+        if cell == "":
+            null_count += 1
+        try:
+            value = int(cell)
+        except ValueError:
+            value = None
+        if value is not None:
+            if int_count == 0:
+                int_min = int_max = value
+            else:
+                int_min = min(int_min, value)
+                int_max = max(int_max, value)
+            int_count += 1
+        if distinct is not None:
+            distinct.add(cell)
+            if len(distinct) > DISTINCT_CAP:
+                distinct = None
+    return (
+        null_count, int_count, int_min, int_max,
+        None if distinct is None else tuple(sorted(distinct)),
+    )
+
+
+#: Every way a cell can look like (or almost like) an integer to
+#: ``int(str)``, plus nulls, non-ASCII and cells past one length byte.
+_AWKWARD = ["", "0", "7", "-3", "007", "-0", "+5", " 7 ", "1_0", "١٢", "1e3",
+            "0x10", "٣", "a", "é", "x" * 127, "y" * 128, "ü" * 70, "-", "+"]
+_CELL = st.one_of(
+    st.sampled_from(_AWKWARD),
+    st.integers(-(2**66), 2**66).map(str),
+    st.text(max_size=5),
+)
+
+
+@st.composite
+def _tables(draw):
+    n_cols = draw(st.integers(0, 5))
+    n_rows = draw(st.integers(0, 90))
+    columns = []
+    for position in range(n_cols):
+        kind = draw(st.sampled_from(["mixed", "null", "wide", "constant", "ints"]))
+        if kind == "null":
+            cells = [""] * n_rows
+        elif kind == "wide":  # more distinct values than the zone map keeps
+            cells = [f"v{(i * 7) % (DISTINCT_CAP + 9)}" for i in range(n_rows)]
+        elif kind == "constant":
+            cells = [draw(_CELL)] * n_rows
+        elif kind == "ints":
+            cells = draw(st.lists(st.integers(-500, 500).map(str),
+                                  min_size=n_rows, max_size=n_rows))
+        else:
+            cells = draw(st.lists(_CELL, min_size=n_rows, max_size=n_rows))
+        columns.append(cells)
+    names = [f"c{i}·{'é' * (i % 2)}" for i in range(n_cols)]
+    rows = [list(row) for row in zip(*columns)] if n_cols else [[] for __ in range(n_rows)]
+    return Table(name="T", columns=names, rows=rows)
+
+
+class TestCellsEntry:
+    @given(table=_tables())
+    @settings(max_examples=150, deadline=None)
+    def test_property_cells_entry_equals_the_bytes_adapter(self, table):
+        codec = get_codec("typedchannel")
+        payload = serialize_table(table, "columnar")
+        cell_lists = columnar_column_cells(table)
+        blob = pack_cells(table.columns, len(table.rows), cell_lists)
+        assert blob == codec.compress(payload)
+        assert codec.decompress(blob) == payload
+        # ... and so do the two halves ingest runs around its executor.
+        channels = [build_channel(cells) for cells in cell_lists]
+        assert assemble_channels(table.columns, len(table.rows), channels) == blob
+        assert columnar_size(table, [c.raw_len for c in channels]) == len(payload)
+
+    @given(table=_tables())
+    @settings(max_examples=60, deadline=None)
+    def test_property_row_payloads_run_the_same_implementation(self, table):
+        codec = get_codec("typedchannel")
+        payload = serialize_table(table, "row")
+        blob = codec.compress(payload)
+        assert codec.decompress(blob) == payload
+        header = read_header(blob)
+        if header is not None:  # canonical text: channels, not raw mode
+            # (the text form of a 0-column table parses back as one
+            # unnamed column, so compare against what the text holds)
+            parsed = deserialize_table("T", payload, "row")
+            assert blob == pack_cells(
+                parsed.columns, len(parsed.rows), columnar_column_cells(parsed),
+                mode=typedchannel._MODE_ROW,
+            )
+
+    @given(cells=st.lists(_CELL, max_size=150))
+    @settings(max_examples=200, deadline=None)
+    def test_property_zone_map_equals_the_per_cell_reference(self, cells):
+        from collections import Counter
+
+        zone = _zone_map_for(Counter(cells))
+        assert (
+            zone.null_count, zone.int_count, zone.int_min, zone.int_max,
+            zone.distinct,
+        ) == _reference_zone_map(cells)
+
+    def test_zone_map_at_the_distinct_cap(self):
+        from collections import Counter
+
+        for n in (DISTINCT_CAP - 1, DISTINCT_CAP, DISTINCT_CAP + 1):
+            cells = [str(i) for i in range(n)] * 2
+            zone = _zone_map_for(Counter(cells))
+            assert (zone.distinct is None) == (n > DISTINCT_CAP)
+            assert zone.int_count == 2 * n
+            assert (zone.int_min, zone.int_max) == (0, n - 1)
+
+    def test_int_is_attempted_once_per_distinct_value(self, monkeypatch):
+        calls = []
+
+        def counting_int(value):
+            calls.append(value)
+            return int(value)
+
+        monkeypatch.setattr(typedchannel, "int", counting_int, raising=False)
+        cells = ["5", "x", "5", "", "x", "5"] * 50
+        zone = build_channel(cells).zone
+        assert sorted(calls) == ["", "5", "x"]
+        assert (zone.int_count, zone.null_count) == (150, 50)
+
+    def test_hand_built_payload_keeps_its_column_bytes_verbatim(self, codec):
+        # Not the encoding the writer would pick (rle) — the adapter
+        # must store the bytes it was given, or decompress would not
+        # return the payload.
+        table = Table(name="T", columns=["a"], rows=[["7"]] * 40)
+        payload = assemble_columnar(table, [encode_column(["7"] * 40, "plain")])
+        assert payload != serialize_table(table, "columnar")
+        blob = codec.compress(payload)
+        assert read_header(blob).zone("a").int_count == 40
+        assert codec.decompress(blob) == payload
+
+    def test_adapter_is_the_only_decoder_in_the_write_path(self, codec, monkeypatch):
+        decoded = []
+        real = typedchannel.decode_column
+
+        def counting_decode(body, expected_cells=None):
+            decoded.append(len(body))
+            return real(body, expected_cells=expected_cells)
+
+        monkeypatch.setattr(typedchannel, "decode_column", counting_decode)
+        table = sample_table()
+        pack_cells(table.columns, len(table.rows), columnar_column_cells(table))
+        codec.compress(serialize_table(table, "row"))
+        assert decoded == []
+        codec.compress(serialize_table(table, "columnar"))
+        assert len(decoded) == len(table.columns)

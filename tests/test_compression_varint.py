@@ -3,7 +3,15 @@
 import pytest
 from hypothesis import given, strategies as st
 
-from repro.compression.varint import decode_varint, encode_varint
+from repro.compression.varint import (
+    decode_str,
+    decode_varint,
+    encode_str,
+    encode_varint,
+    unzigzag,
+    varint_len,
+    zigzag,
+)
 from repro.errors import CorruptStreamError
 
 
@@ -59,3 +67,65 @@ class TestDecode:
             out.append(value)
         assert out == values
         assert pos == len(blob)
+
+
+def _loop_varint(value: int) -> bytes:
+    """The general LEB128 loop, kept here as the reference for the
+    one-byte table and the arithmetic length."""
+    out = bytearray()
+    while True:
+        byte = value & 0x7F
+        value >>= 7
+        if value:
+            out.append(byte | 0x80)
+        else:
+            out.append(byte)
+            return bytes(out)
+
+
+class TestFastPaths:
+    EDGES = [*range(301), 2**14 - 1, 2**14, 2**63 - 1, 2**63, 2**64 - 1, 2**64, 2**70]
+
+    def test_table_equals_loop(self):
+        for value in self.EDGES:
+            assert encode_varint(value) == _loop_varint(value), value
+
+    def test_small_values_are_immutable_bytes(self):
+        # The table hands out shared objects; bytes cannot be mutated.
+        assert type(encode_varint(5)) is bytes
+        assert encode_varint(5) is encode_varint(5)
+
+    def test_varint_len_is_the_encoded_length(self):
+        for value in self.EDGES:
+            assert varint_len(value) == len(_loop_varint(value)), value
+
+    @given(st.integers(0, 2**80))
+    def test_property_len(self, value):
+        assert varint_len(value) == len(encode_varint(value))
+
+
+class TestZigzag:
+    def test_small_values_interleave(self):
+        assert [zigzag(v) for v in (0, -1, 1, -2, 2)] == [0, 1, 2, 3, 4]
+
+    @given(st.integers(-(2**80), 2**80))
+    def test_property_round_trip(self, value):
+        assert zigzag(value) >= 0
+        assert unzigzag(zigzag(value)) == value
+
+
+class TestStrings:
+    @given(st.text(max_size=300), st.binary(max_size=4))
+    def test_property_round_trip_with_offset(self, value, prefix):
+        data = prefix + encode_str(value) + b"tail"
+        decoded, pos = decode_str(data, len(prefix))
+        assert decoded == value
+        assert data[pos:] == b"tail"
+
+    def test_truncated_string_is_corrupt(self):
+        with pytest.raises(CorruptStreamError):
+            decode_str(encode_str("hello")[:-1], 0)
+
+    def test_invalid_utf8_is_corrupt_not_a_unicode_error(self):
+        with pytest.raises(CorruptStreamError):
+            decode_str(encode_varint(2) + b"\xff\xfe", 0)

@@ -79,6 +79,44 @@ class TestDataNode:
         node.drop(5)
         assert not node.has_block(5)
 
+    @given(
+        ops=st.lists(
+            st.tuples(
+                st.sampled_from(["store", "corrupt", "drop", "fail", "restart"]),
+                st.integers(0, 5),  # few ids: overwrites and re-drops happen
+                st.binary(max_size=40),
+            ),
+            max_size=60,
+        ),
+        capacity=st.one_of(st.none(), st.integers(0, 120)),
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_property_used_bytes_is_the_sum_of_resident_replicas(self, ops, capacity):
+        """``used_bytes`` is a running total (placement sorts on it for
+        every write); it must equal a recount after any sequence of
+        store / overwrite / corrupt / drop, refused stores included."""
+        node = DataNode(node_id="dn0", capacity=capacity)
+        for op, block_id, data in ops:
+            if op == "store":
+                try:
+                    node.store(Block(block_id=block_id, data=data))
+                except StorageError:
+                    pass  # dead or full: nothing stored, nothing counted
+            elif op == "corrupt":
+                node.corrupt_block(block_id, offset=len(data))
+            elif op == "drop":
+                node.drop(block_id)
+            elif op == "fail":
+                node.fail()
+            else:
+                node.restart()
+            node.alive, was_alive = True, node.alive
+            recount = sum(len(node.read(b, verify=False)) for b in node.block_ids())
+            node.alive = was_alive
+            assert node.used_bytes == recount
+            if capacity is not None:
+                assert node.free_bytes() == capacity - recount
+
 
 class TestNameNode:
     def test_path_normalization(self):

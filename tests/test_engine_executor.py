@@ -34,10 +34,10 @@ def _boom(x: int) -> int:
     raise ValueError(f"task {x} failed")
 
 
-def _ingest(executor: str, layout: str) -> tuple[Spate, list]:
+def _ingest(executor: str, layout: str, codec: str = "gzip-ref") -> tuple[Spate, list]:
     generator = TelcoTraceGenerator(TraceConfig(scale=0.002, days=1, seed=7))
     spate = Spate(SpateConfig(
-        codec="gzip-ref",
+        codec=codec,
         layout=layout,
         executor=executor,
         decay=DecayPolicyConfig(enabled=False),
@@ -130,6 +130,28 @@ class TestByteIdentity:
         for left, right in zip(serial_reports, process_reports):
             assert left.raw_bytes == right.raw_bytes
             assert left.compressed_bytes == right.compressed_bytes
+
+    @pytest.mark.parametrize("executor", ["thread", "process"])
+    def test_typed_channels_match_serial(self, executor):
+        """The fused typed-channel path fans out whole channels (profile,
+        encode, zone map, DEFLATE per column); the per-column result
+        crosses the process boundary, so it must pickle."""
+        serial_spate, serial_reports = _ingest("serial", "columnar", "typedchannel")
+        try:
+            pooled_spate, pooled_reports = _ingest(executor, "columnar", "typedchannel")
+        except (OSError, PermissionError) as error:  # pragma: no cover
+            pytest.skip(f"{executor} pool unavailable here: {error}")
+        assert _dfs_contents(serial_spate) == _dfs_contents(pooled_spate)
+        for left, right in zip(serial_reports, pooled_reports):
+            assert left.raw_bytes == right.raw_bytes
+            assert left.compressed_bytes == right.compressed_bytes
+            # One task per column, and no per-table compress task.
+            assert left.parallel_tasks == right.parallel_tasks
+        assert pooled_reports[0].executor == executor
+        generator = TelcoTraceGenerator(TraceConfig(scale=0.002, days=1, seed=7))
+        assert serial_reports[0].parallel_tasks == sum(
+            len(table.columns) for table in generator.snapshot(0).tables.values()
+        )
 
     def test_explore_results_match_across_backends(self):
         serial_spate, __ = _ingest("serial", "row")

@@ -219,3 +219,161 @@ class TestSummaryMerge:
             target.attributes["CDR"]["downflux"].numeric.count
             != source.attributes["CDR"]["downflux"].numeric.count
         )
+
+
+# ----------------------------------------------------------------------
+# Column-wise summaries equal the row-wise fold (PR 15)
+# ----------------------------------------------------------------------
+
+
+def _reference_summarize(snapshot, config):
+    """The row-by-row loop ``summarize_snapshot`` replaced, verbatim.
+    Its dict insertion orders are part of the contract: ``to_dict`` is
+    what the WAL and checkpoints serialise."""
+    from repro.index.highlights import CELL_COLUMN, _is_int
+
+    summary = HighlightSummary(level="epoch", period=str(snapshot.epoch))
+    for table_name, table in snapshot.tables.items():
+        tracked = config.tracked_attributes.get(table_name)
+        if not tracked:
+            continue
+        present = [a for a in tracked if a in table.columns]
+        indexes = {a: table.column_index(a) for a in present}
+        cell_col = CELL_COLUMN.get(table_name)
+        cell_idx = (
+            table.column_index(cell_col)
+            if cell_col and cell_col in table.columns
+            else None
+        )
+        summary.record_counts[table_name] = len(table)
+        attr_summaries = summary.attributes.setdefault(table_name, {})
+        for name in present:
+            attr_summaries.setdefault(name, AttributeSummary())
+        cells = summary.per_cell.setdefault(table_name, {})
+        if cell_idx is not None:
+            summary.cell_covered_rows[table_name] = len(table)
+        for row in table.rows:
+            cell_id = row[cell_idx] if cell_idx is not None else None
+            cell_attrs = cells.setdefault(cell_id, {}) if cell_id is not None else None
+            for name in present:
+                value = row[indexes[name]]
+                attr_summaries[name].add(value)
+                if cell_attrs is not None and value and _is_int(value):
+                    stats = cell_attrs.get(name)
+                    if stats is None:
+                        stats = cell_attrs[name] = NumericStats()
+                    stats.add(int(value))
+    return summary
+
+
+def _assert_same_summary(snapshot, config=HighlightsConfig(), exact_order=False):
+    import json
+
+    got = summarize_snapshot(snapshot, config).to_dict()
+    want = _reference_summarize(snapshot, config).to_dict()
+    if not exact_order:
+        # The row fold keys a cell's attributes by first *integer*
+        # arrival; the column pass keys them in tracked order.  The two
+        # differ only when a column mixes integer and other values, so
+        # the reference is re-keyed in tracked order — every other
+        # order (tables, attributes, values, cells) is compared as is.
+        for table, cells in want["cells"].items():
+            tracked = config.tracked_attributes[table]
+            for cell_id, attrs in cells.items():
+                cells[cell_id] = {a: attrs[a] for a in tracked if a in attrs}
+    # json.dumps keeps dict order, so this compares key order too.
+    assert json.dumps(got) == json.dumps(want)
+
+
+#: Integer-looking, not-quite-integer and plain values; "" is SQL NULL.
+_VALUE = st.sampled_from(
+    ["", "0", "1", "7", "-3", "-0", "007", "+5", "1.5", "x", "OK", "FAIL", "١٢"]
+)
+
+
+@st.composite
+def _snapshots(draw):
+    snapshot = Snapshot(epoch=draw(st.integers(0, 99)))
+    n_rows = draw(st.integers(0, 40))
+    with_cells = draw(st.booleans())
+    tracked = ["drop_flag", "result", "upflux", "duration_s"]
+    columns = (["cell_id"] if with_cells else []) + ["ts"] + tracked[: draw(st.integers(0, 4))]
+    cdr = Table(name="CDR", columns=columns)
+    for __ in range(n_rows):
+        row = []
+        for column in columns:
+            if column == "cell_id":
+                row.append(draw(st.sampled_from(["C0", "C1", "C2", ""])))
+            elif column == "ts":
+                row.append("t")
+            else:
+                row.append(draw(_VALUE))
+        cdr.append(row)
+    snapshot.add_table(cdr)
+    if draw(st.booleans()):
+        mr = Table(name="MR", columns=["cellid", "rssi_dbm"])
+        for __ in range(draw(st.integers(0, 12))):
+            mr.append([draw(st.sampled_from(["C0", "C9"])), draw(_VALUE)])
+        snapshot.add_table(mr)
+    return snapshot
+
+
+class TestColumnwiseEqualsRowwise:
+    @given(snapshot=_snapshots())
+    @settings(max_examples=250, deadline=None)
+    def test_property_equal_including_key_order(self, snapshot):
+        _assert_same_summary(snapshot)
+
+    def test_the_seed_snapshot_byte_for_byte(self):
+        _assert_same_summary(make_snapshot(), exact_order=True)
+
+    def test_generated_trace_byte_for_byte(self):
+        # No tracked telco column mixes integer and other values, so on
+        # the generator's data the WAL payload is the row fold's, to
+        # the byte (tests/test_golden_bytes.py pins a durable week).
+        from repro.telco import TelcoTraceGenerator, TraceConfig
+
+        generator = TelcoTraceGenerator(TraceConfig(scale=0.002, days=1, seed=5))
+        for epoch in (0, 17, 40):
+            _assert_same_summary(generator.snapshot(epoch), exact_order=True)
+
+    def test_per_cell_attributes_are_keyed_in_tracked_order(self):
+        # C0's first row has an integer only for duration_s; upflux
+        # (earlier in tracked order) turns integer one row later.
+        snapshot = Snapshot(epoch=3)
+        cdr = Table(name="CDR", columns=["cell_id", "upflux", "duration_s"])
+        for row in (["C0", "n/a", "60"], ["C1", "5", "61"], ["C0", "9", "x"], ["C1", "", "7"]):
+            cdr.append(row)
+        snapshot.add_table(cdr)
+        summary = summarize_snapshot(snapshot, HighlightsConfig())
+        assert list(summary.per_cell["CDR"]["C0"]) == ["upflux", "duration_s"]
+        assert list(summary.per_cell["CDR"]["C1"]) == ["upflux", "duration_s"]
+        assert summary.per_cell["CDR"]["C0"]["upflux"].to_dict() == {
+            "c": 1, "t": 9, "lo": 9, "hi": 9,
+        }
+        _assert_same_summary(snapshot)
+
+    def test_column_past_max_distinct_counts_like_arrival_order(self):
+        import random
+
+        cap = AttributeSummary().max_distinct
+        values = [str(i) for i in range(cap + 150)] * 2 + ["x", "", "7"] * 40
+        random.Random(11).shuffle(values)
+        snapshot = Snapshot(epoch=1)
+        cdr = Table(name="CDR", columns=["cell_id", "duration_s", "result"])
+        for i, value in enumerate(values):
+            cdr.append([f"C{i % 7}", value, "OK" if i % 9 else "FAIL"])
+        snapshot.add_table(cdr)
+        summary = summarize_snapshot(snapshot, HighlightsConfig())
+        assert len(summary.attributes["CDR"]["duration_s"].categorical.counts) == cap
+        _assert_same_summary(snapshot)
+
+    def test_repeated_value_statistics_equal_repeated_adds(self):
+        from repro.index.highlights import _repeated
+
+        folded, merged = NumericStats(), NumericStats()
+        for value, times in ((5, 3), (-2, 1), (9, 4)):
+            for __ in range(times):
+                folded.add(value)
+            merged.merge(_repeated(value, times))
+        assert merged == folded

@@ -193,3 +193,170 @@ class TestDecay:
         decay = DecayModule(dfs=dfs, index=index, config=config.decay)
         report = decay.run()
         assert report.leaves_evicted == 0
+
+
+# ----------------------------------------------------------------------
+# Typed-channel ingest: cells -> channels in one pass (PR 15)
+# ----------------------------------------------------------------------
+
+
+def _typed_snapshot(epoch: int) -> Snapshot:
+    snap = snapshot_for(epoch)
+    nms = Table(name="NMS", columns=["ts", "cellid", "kpi", "val"])
+    for i in range(25):
+        nms.append([str(epoch), f"C{i % 3:03d}", ("drops", "rssi")[i % 2], str(i - 4)])
+    snap.add_table(nms)
+    snap.add_table(Table(name="EMPTY", columns=["a", "b"], rows=[]))
+    return snap
+
+
+class _PickByTable:
+    """Stand-in codec selector: a fixed codec per table, so one snapshot
+    exercises the channel fan-out and the payload fan-out together."""
+
+    def __init__(self, picks: dict[str, str]) -> None:
+        self.picks = picks
+        self.observed: list[tuple[str, bytes]] = []
+
+    def observe(self, table, payload):
+        self.observed.append((table, payload))
+
+    def choose(self, table, payload):
+        from repro.compression.autotune import CodecChoice
+
+        return CodecChoice(codec=self.picks[table], dict_id=None, scores=())
+
+    def dict_blob(self, dict_id):
+        return None
+
+
+class TestTypedChannelFusedPath:
+    TYPED = SpateConfig(codec="typedchannel", layout="columnar")
+
+    def _expected(self, snapshot, codec_name="typedchannel"):
+        from repro.core.layout import serialize_table
+
+        payloads = {
+            name: serialize_table(table, "columnar")
+            for name, table in snapshot.tables.items()
+        }
+        stored = {
+            name: get_codec(codec_name).compress(payload)
+            for name, payload in payloads.items()
+        }
+        return payloads, stored
+
+    def test_stores_what_the_bytes_adapter_would(self):
+        dfs, index, module, __ = build(self.TYPED)
+        snapshot = _typed_snapshot(0)
+        report = module.ingest(snapshot)
+        payloads, stored = self._expected(snapshot)
+        for name in snapshot.tables:
+            assert dfs.read_file(module.leaf_path(0, name)) == stored[name]
+        assert report.raw_bytes == sum(map(len, payloads.values()))
+        assert report.compressed_bytes == sum(map(len, stored.values()))
+        assert index.find_leaf(0).table_codecs == dict.fromkeys(
+            snapshot.tables, "typedchannel"
+        )
+        # One task per column; no per-table compress task on this path.
+        assert report.parallel_tasks == sum(
+            len(table.columns) for table in snapshot.tables.values()
+        )
+
+    def test_ingest_never_decodes_a_column_it_just_encoded(self, monkeypatch):
+        import repro.compression.columnar as columnar
+        import repro.compression.typedchannel as typedchannel
+        import repro.core.layout as layout
+        from repro.core import Spate
+
+        calls = []
+        real = columnar.decode_column
+
+        def counting(data, expected_cells=None):
+            calls.append(len(data))
+            return real(data, expected_cells=expected_cells)
+
+        for module in (columnar, typedchannel, layout):
+            monkeypatch.setattr(module, "decode_column", counting)
+        spate = Spate(SpateConfig(
+            codec="typedchannel", layout="columnar", executor="serial",
+            decay=DecayPolicyConfig(enabled=False),
+        ))
+        for epoch in range(3):
+            spate.ingest(_typed_snapshot(epoch))
+        assert calls == []
+        # The counter is live: reading a leaf back does decode.
+        assert spate.read_table(1, "NMS").rows == _typed_snapshot(1).tables["NMS"].rows
+        assert calls
+
+    def test_auto_mode_tables_that_pick_typed_channels_store_the_same_bytes(self):
+        picks = {"CDR": "typedchannel", "NMS": "gzip-ref", "EMPTY": "typedchannel"}
+        config = SpateConfig(codec="auto", layout="columnar")
+        dfs = SimulatedDFS()
+        index = TemporalIndex()
+        selector = _PickByTable(picks)
+        module = IncremenceModule(
+            dfs=dfs, index=index, codec=get_codec(config.static_codec),
+            config=config, selector=selector,
+        )
+        snapshot = _typed_snapshot(0)
+        report = module.ingest(snapshot)
+        payloads, __ = self._expected(snapshot)
+        leaf = index.find_leaf(0)
+        assert leaf.table_codecs == picks
+        assert list(leaf.table_paths) == list(snapshot.tables)  # DFS write order
+        for name, codec_name in picks.items():
+            assert dfs.read_file(leaf.table_paths[name]) == get_codec(
+                codec_name
+            ).compress(payloads[name])
+        # The selector still samples every serialized payload.
+        assert selector.observed == list(payloads.items())
+        assert report.raw_bytes == sum(map(len, payloads.values()))
+
+    def test_auto_mode_with_only_typed_channels_to_pick(self):
+        from repro.core import Spate
+        from repro.core.config import AutotuneConfig
+
+        auto = Spate(SpateConfig(
+            codec="auto", layout="columnar", executor="serial",
+            autotune=AutotuneConfig(candidates=("typedchannel",)),
+            decay=DecayPolicyConfig(enabled=False),
+        ))
+        static = Spate(SpateConfig(
+            codec="typedchannel", layout="columnar", executor="serial",
+            decay=DecayPolicyConfig(enabled=False),
+        ))
+        for epoch in range(2):
+            left = auto.ingest(_typed_snapshot(epoch))
+            right = static.ingest(_typed_snapshot(epoch))
+            assert (left.raw_bytes, left.stored_bytes) == (right.raw_bytes, right.stored_bytes)
+            for name in ("CDR", "NMS", "EMPTY"):
+                assert auto.dfs.read_file(
+                    auto.index.find_leaf(epoch).table_paths[name]
+                ) == static.dfs.read_file(
+                    static.index.find_leaf(epoch).table_paths[name]
+                )
+
+    def test_other_codecs_over_columnar_are_untouched(self):
+        config = SpateConfig(codec="gzip-ref", layout="columnar")
+        dfs, __, module, __ = build(config)
+        snapshot = _typed_snapshot(0)
+        report = module.ingest(snapshot)
+        payloads, stored = self._expected(snapshot, "gzip-ref")
+        for name in snapshot.tables:
+            assert dfs.read_file(module.leaf_path(0, name)) == stored[name]
+        assert report.raw_bytes == sum(map(len, payloads.values()))
+
+    def test_snapshot_without_tables(self):
+        auto = SpateConfig(codec="auto", layout="columnar")
+        auto_index = TemporalIndex()
+        auto_module = IncremenceModule(
+            dfs=SimulatedDFS(), index=auto_index,
+            codec=get_codec(auto.static_codec), config=auto,
+            selector=_PickByTable({}),
+        )
+        __, typed_index, typed_module, __ = build(self.TYPED)
+        for index, module in ((typed_index, typed_module), (auto_index, auto_module)):
+            report = module.ingest(Snapshot(epoch=0))
+            assert (report.raw_bytes, report.compressed_bytes) == (0, 0)
+            assert index.find_leaf(0).table_paths == {}
