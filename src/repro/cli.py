@@ -76,7 +76,7 @@ def _add_trace_args(parser: argparse.ArgumentParser) -> None:
                         dest="group_replication",
                         help="replicas per region group (sharded mode)")
     parser.add_argument("--shard-transport", default="inline",
-                        choices=("inline", "thread", "socket"),
+                        choices=("inline", "socket"),
                         help="shard RPC transport (socket = workers as "
                              "real processes over localhost TCP)")
     parser.add_argument("--region-layout", type=int, default=2,

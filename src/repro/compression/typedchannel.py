@@ -199,7 +199,6 @@ class _ZoneBuild:
     int_min: int
     int_max: int
     distinct: tuple[str, ...] | None
-    name: str = ""  # descriptive only: the container takes names from ``columns``
 
 
 def _zone_map_for(counts: Mapping[str, int]) -> _ZoneBuild:
@@ -246,10 +245,6 @@ class Channel(NamedTuple):
     packed: bytes
 
 
-def _seal(zone: _ZoneBuild, encoded: bytes) -> Channel:
-    return Channel(zone, len(encoded), zlib.compress(encoded, _ZLIB_LEVEL))
-
-
 def build_channel(cells: list[str], encoded: bytes | None = None) -> Channel:
     """The per-column write unit: profile → ``encode_column`` → zone
     map → DEFLATE, one counted pass over the cells.
@@ -262,7 +257,11 @@ def build_channel(cells: list[str], encoded: bytes | None = None) -> Channel:
     profile = profile_column(cells)
     if encoded is None:
         encoded = encode_column(cells, profile=profile)
-    return _seal(_zone_map_for(profile[0]), encoded)
+    return Channel(
+        _zone_map_for(profile[0]),
+        len(encoded),
+        zlib.compress(encoded, _ZLIB_LEVEL),
+    )
 
 
 def assemble_channels(
@@ -305,20 +304,6 @@ def pack_cells(
     table); ``encoded`` is passed through to :func:`build_channel`."""
     channels = map(build_channel, cell_lists, encoded or repeat(None))
     return assemble_channels(columns, n_rows, list(channels), mode)
-
-
-def _assemble(
-    mode: int,
-    columns: list[str],
-    n_rows: int,
-    zones: list[_ZoneBuild],
-    encoded_bodies: list[bytes],
-) -> bytes:
-    """Assemble from hand-made zone maps — how the fuzz suite forges
-    headers the writer itself never emits."""
-    return assemble_channels(
-        columns, n_rows, list(map(_seal, zones, encoded_bodies)), mode
-    )
 
 
 def read_header(blob: bytes) -> TypedChannelHeader | None:

@@ -256,10 +256,10 @@ class ShardConfig:
     #: Heartbeats a shard may miss before failover prefers its replicas.
     heartbeat_miss_limit: int = 2
     #: RPC transport: "inline" (deterministic in-process calls; backoff
-    #: charged to a modeled clock), "thread" (per-shard worker threads
-    #: with real wall-clock timeouts), or "socket" (each worker is a
-    #: real OS process serving length-prefixed JSON-lines RPCs over
-    #: localhost TCP; workers survive coordinator restarts).
+    #: charged to a modeled clock) or "socket" (each worker is a real OS
+    #: process serving length-prefixed JSON-lines RPCs over localhost
+    #: TCP, with real wall-clock timeouts; workers survive coordinator
+    #: restarts).
     transport: str = "inline"
     #: Tile→group fold version of the :class:`~repro.shard.key.
     #: RegionMap` (1 = legacy vertical stripes, 2 = true grid tiles).
@@ -289,9 +289,9 @@ class ShardConfig:
             raise ConfigError("breaker_cooldown_rpcs must be at least 1")
         if self.heartbeat_miss_limit < 1:
             raise ConfigError("heartbeat_miss_limit must be at least 1")
-        if self.transport not in ("inline", "thread", "socket"):
+        if self.transport not in ("inline", "socket"):
             raise ConfigError(
-                "transport must be 'inline', 'thread' or 'socket', "
+                "transport must be 'inline' or 'socket', "
                 f"got {self.transport!r}"
             )
         if self.region_layout not in (1, 2):

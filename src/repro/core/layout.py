@@ -136,17 +136,26 @@ def deserialize_table_columns(
     columns: tuple[str, ...] | None = None,
 ) -> tuple[list[str], list[list[str]]]:
     """Like :func:`deserialize_table`, but column-major: returns
-    ``(column_names, per-column cell lists)`` without materializing row
-    tuples.  For the columnar layout this skips the final transpose the
-    row form pays; the row layout parses rows and transposes once.
-    Projection semantics match :func:`deserialize_table` (full schema,
-    unselected columns are blank)."""
+    ``(column_names, per-column cell lists)``.  The columnar layout
+    never materializes rows; the row layout parses them once and
+    transposes — every column with one ``zip``, or only the selected
+    ones when ``columns`` is given (its parse cannot skip a cell, its
+    transpose can).  Projection semantics match
+    :func:`deserialize_table` (full schema, unselected columns are
+    blank)."""
     try:
         if layout == ROW_LAYOUT:
             table = Table.deserialize(name, data)
-            return list(table.columns), [
-                [row[c] for row in table.rows]
-                for c in range(len(table.columns))
+            rows = table.rows
+            if columns is None:
+                cells = list(map(list, zip(*rows))) if rows else [
+                    [] for __ in table.columns
+                ]
+                return table.columns, cells
+            blanks = [""] * len(rows)
+            return table.columns, [
+                [row[c] for row in rows] if column in columns else blanks
+                for c, column in enumerate(table.columns)
             ]
         if layout == COLUMNAR_LAYOUT:
             return _decode_columnar_columns(data, columns)

@@ -1,29 +1,33 @@
-"""Byte-bounded LRU cache of decompressed leaf tables.
+"""Byte-bounded LRU cache of decoded leaf columns.
 
 Exploration queries repeatedly decompress the same recent snapshots
 (dashboards poll sliding windows; the T1-T8 task mix re-reads hot
-epochs).  Caching the *decompressed* tables trades RAM for the
-decompress + deserialize cost on every re-read — the same lever
-WarpFlow-scale exploration systems pull by keeping hot partitions
-resident across queries.
+epochs).  Caching the *decoded* cells trades RAM for the decompress +
+deserialize cost on every re-read — the same lever WarpFlow-scale
+exploration systems pull by keeping hot partitions resident, in the one
+columnar form their operators consume.
 
-One LRU, one byte budget, three kinds of entry, all keyed under their
-leaf's ``(epoch, table_name)``:
+One LRU, one byte budget, and one resident form whatever codec or
+layout stored the leaf: under its ``(epoch, table_name)`` a leaf keeps
 
-- a full decoded :class:`Table`, charged its decompressed payload size;
-- a typed-channel leaf's parsed header (zone maps), charged its encoded
-  size — with it resident, a scan zone-gates the leaf and plans its
-  decode without reading the blob;
-- one decoded channel (a column's cell list) of such a leaf, charged
-  8 bytes a cell plus the channel's encoded length.  Scans project, so
-  a typed-channel leaf is resident a channel at a time; when every
-  channel a scan wants is there, the leaf costs no DFS read at all.
+- a :class:`LeafDescriptor` — column names, row count and, for a
+  typed-channel leaf, the parsed header (zone maps), with which a scan
+  zone-gates the leaf and plans its decode without reading the blob;
+- one entry per decoded column (its cell list).  Scans project, so a
+  leaf is resident a column at a time; when every column a scan wants
+  is there, the leaf costs no DFS read, inflate or parse at all.
 
-Cached cell lists and tables are shared by every reader: consumers
-must never mutate them.  The cache must be invalidated whenever a
-leaf's stored bytes change: full decay eviction, grouped-decay
-rewrites and recompaction all call :meth:`LeafCache.invalidate_epoch`,
-which drops every kind of entry of the epoch.
+Charges: a typed-channel header its encoded size and each of its
+channels 8 bytes a cell plus the channel's encoded length; any other
+leaf charges its descriptor the bytes of its column names and splits
+the rest of its decompressed payload size evenly over its columns, so a
+fully decoded leaf is charged exactly that payload size.
+
+Cached cell lists are shared by every reader: consumers must never
+mutate them.  The cache must be invalidated whenever a leaf's stored
+bytes change: full decay eviction, grouped-decay rewrites and
+recompaction all call :meth:`LeafCache.invalidate_epoch`, which drops
+the epoch's descriptors and columns together.
 
 Thread safety: the serving layer shares one cache between many reader
 threads, so every operation (including counter updates — LRU reorder
@@ -36,8 +40,6 @@ from __future__ import annotations
 import threading
 from collections import OrderedDict
 from dataclasses import dataclass
-
-from repro.core.snapshot import Table
 
 
 @dataclass(frozen=True)
@@ -59,21 +61,34 @@ class LeafCacheStats:
         return self.hits / total if total else 0.0
 
 
-#: Key suffix of a leaf's parsed header; a channel's is its column name.
-_HEADER = None
+class LeafDescriptor:
+    """What a scan knows of a leaf table without its cells."""
+
+    __slots__ = ("names", "n_rows", "header", "known")
+
+    def __init__(self, names, n_rows: int, header=None) -> None:
+        self.names: tuple[str, ...] = tuple(names)
+        self.n_rows = n_rows
+        #: The leaf's parsed ``TypedChannelHeader``; None for any other
+        #: kind of leaf.
+        self.header = header
+        self.known = frozenset(self.names)
+
+
+#: Key suffix of a leaf's descriptor; a column's is its name.
+_DESCRIPTOR = None
 
 
 class LeafCache:
-    """LRU over decompressed leaf tables with a byte-capacity bound."""
+    """LRU over decoded leaf columns with a byte-capacity bound."""
 
     def __init__(self, capacity_bytes: int) -> None:
         if capacity_bytes < 0:
             raise ValueError("cache capacity must be non-negative")
         self.capacity_bytes = capacity_bytes
         #: key -> (value, charged bytes); insertion order = LRU order.
-        #: Keys are ``(epoch, table)`` for a Table, ``(epoch, table,
-        #: None)`` for a header and ``(epoch, table, column)`` for a
-        #: channel, so ``key[0]`` is always the epoch.
+        #: Keys are ``(epoch, table, None)`` for a descriptor and
+        #: ``(epoch, table, column)`` for a column's cells.
         self._entries: OrderedDict[tuple, tuple[object, int]] = OrderedDict()
         self._bytes = 0
         self._lock = threading.RLock()
@@ -92,125 +107,101 @@ class LeafCache:
         with self._lock:
             return self._bytes
 
-    def has(self, epoch: int, table: str) -> bool:
-        """True when the full table is resident (does not touch LRU order)."""
-        with self._lock:
-            return (epoch, table) in self._entries
-
     def has_header(self, epoch: int, table: str) -> bool:
-        """True when the leaf's typed-channel header is resident."""
+        """True when the leaf's descriptor is resident (does not touch
+        LRU order)."""
         with self._lock:
-            return (epoch, table, _HEADER) in self._entries
+            return (epoch, table, _DESCRIPTOR) in self._entries
 
     def resident_channels(self, epoch: int, table: str) -> set[str]:
-        """Columns of the leaf whose decoded channel is resident."""
+        """Columns of the leaf whose decoded cells are resident."""
         with self._lock:
             return {
                 key[2]
                 for key in self._entries
-                if len(key) == 3
-                and key[:2] == (epoch, table)
-                and key[2] is not _HEADER
+                if key[:2] == (epoch, table) and key[2] is not _DESCRIPTOR
             }
 
-    def _touch(self, key: tuple):
-        entry = self._entries.get(key)
-        if entry is None:
-            return None
-        self._entries.move_to_end(key)
-        return entry[0]
+    def get(self, epoch: int, table: str, columns=None):
+        """One scan's probe of one leaf: ``(descriptor, cells)``.
 
-    def get(self, epoch: int, table: str) -> Table | None:
-        """Return the cached table and refresh its recency, or None."""
-        with self._lock:
-            cached = self._touch((epoch, table))
-            if cached is None:
-                self.misses += 1
-            else:
-                self.hits += 1
-            return cached
-
-    def lookup(self, epoch: int, table: str, columns=None):
-        """One scan's probe of one leaf: ``(table, header, channels)``.
-
-        ``table`` is the resident full Table, when there is one.
-        Otherwise ``header`` is the leaf's resident typed-channel header
-        (None for any other kind of leaf, or a cold one) and
-        ``channels`` maps column name to cell list when **every**
-        channel the scan wants (``columns``; None means all) is
+        ``descriptor`` is the leaf's resident :class:`LeafDescriptor`
+        (None for a cold leaf) and ``cells`` maps column name to cell
+        list when **every** column the scan wants (``columns``; None
+        means all; names the leaf does not store constrain nothing) is
         resident, else None — a scan that must read the blob anyway
-        decodes all its channels in one go.
+        decodes all its columns in one go.
 
-        Counts one lookup: a hit when the wanted cells were resident
-        (``table`` or ``channels``), a miss when the scan has to read
-        and decode the leaf.
+        Counts one lookup: a hit when the wanted cells were resident, a
+        miss when the scan has to read and decode the leaf.
         """
         with self._lock:
-            cached = self._touch((epoch, table))
-            if cached is not None:
-                self.hits += 1
-                return cached, None, None
-            header_key = (epoch, table, _HEADER)
-            entry = self._entries.get(header_key)
+            key = (epoch, table, _DESCRIPTOR)
+            entry = self._entries.get(key)
             if entry is None:
                 self.misses += 1
-                return None, None, None
-            header = entry[0]
-            channels: dict[str, list[str]] | None = {}
-            for zone in header.zones:
-                if columns is not None and zone.name not in columns:
+                return None, None
+            descriptor = entry[0]
+            if columns is None:
+                columns = descriptor.names
+            cells: dict[str, list[str]] | None = {}
+            for name in columns:
+                if name not in descriptor.known:
                     continue
-                cells = self._touch((epoch, table, zone.name))
-                if cells is None:
-                    channels = None
+                resident = self._entries.get((epoch, table, name))
+                if resident is None:
+                    cells = None
                     break
-                channels[zone.name] = cells
-            # Touched last: a header must outlive the channels that
+                self._entries.move_to_end((epoch, table, name))
+                cells[name] = resident[0]
+            # Touched last: a descriptor must outlive the columns that
             # cannot be served without it.
-            self._entries.move_to_end(header_key)
-            if channels is None:
+            self._entries.move_to_end(key)
+            if cells is None:
                 self.misses += 1
             else:
                 self.hits += 1
-            return None, header, channels
+            return descriptor, cells
 
-    def put(self, epoch: int, table_name: str, table: Table, nbytes: int) -> int:
-        """Insert (or refresh) an entry charged ``nbytes``.
-
-        Oversized payloads (larger than the whole capacity) are not
-        cached — they would only flush everything else.
-
-        Returns:
-            The number of entries evicted to make room.
-        """
-        with self._lock:
-            return self._insert((epoch, table_name), table, nbytes)
-
-    def put_channels(
-        self, epoch: int, table: str, header, channels: dict[str, list[str]]
+    def put(
+        self,
+        epoch: int,
+        table: str,
+        descriptor: LeafDescriptor,
+        columns: dict[str, list[str]],
+        nbytes: int = 0,
     ) -> int:
-        """Insert (or refresh) a typed-channel leaf's parsed header and
-        the given decoded channels, each its own LRU entry.
+        """Insert (or refresh) a leaf's descriptor and the given decoded
+        columns, each its own LRU entry.
 
-        The header is charged its encoded size, a channel 8 bytes a cell
-        plus its encoded length; an entry larger than the whole capacity
-        is refused like an oversized table.
+        ``nbytes`` is the leaf's decompressed payload size, which a leaf
+        without a typed-channel header is charged by (see the module
+        docstring).  An entry larger than the whole capacity is refused
+        — it would only flush everything else.
 
         Returns:
             The number of entries evicted to make room.
         """
-        if not header.unique_names:
-            return 0  # channels of such a blob cannot be keyed by column
+        header, names = descriptor.header, descriptor.names
+        if len(descriptor.known) != len(names):
+            return 0  # columns of such a leaf cannot be keyed by name
+        if header is not None:
+            described = header.body_start
+            charges = {
+                name: 8 * len(cells) + header.zone(name).raw_len
+                for name, cells in columns.items()
+            }
+        else:
+            described = min(nbytes, sum(map(len, names)) + len(names))
+            share, rest = divmod(nbytes - described, max(1, len(names)))
+            described += rest
+            charges = dict.fromkeys(columns, share)
         with self._lock:
             evicted = 0
-            for column, cells in channels.items():
-                evicted += self._insert(
-                    (epoch, table, column),
-                    cells,
-                    8 * len(cells) + header.zone(column).raw_len,
-                )
+            for name, cells in columns.items():
+                evicted += self._insert((epoch, table, name), cells, charges[name])
             return evicted + self._insert(
-                (epoch, table, _HEADER), header, header.body_start
+                (epoch, table, _DESCRIPTOR), descriptor, described
             )
 
     def _insert(self, key: tuple, value, nbytes: int) -> int:
@@ -233,7 +224,7 @@ class LeafCache:
         return evicted
 
     def invalidate_epoch(self, epoch: int) -> int:
-        """Drop every table, header and channel cached for ``epoch``
+        """Drop every descriptor and column cached for ``epoch``
         (decay/rewrite hook)."""
         with self._lock:
             stale = [key for key in self._entries if key[0] == epoch]

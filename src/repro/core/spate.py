@@ -46,7 +46,6 @@ from repro.engine.executor import get_executor
 from repro.errors import (
     ConfigError,
     DecayedDataError,
-    LeafQuarantinedError,
     QueryError,
     StorageError,
 )
@@ -56,14 +55,20 @@ from repro.index.highlights import Highlight, HighlightSummary
 from repro.index.incremence import IncremenceModule, IngestReport
 from repro.index.temporal import SnapshotLeaf, TemporalIndex
 from repro.index.wal import IndexWal
-from repro.query.explore import ExplorationEngine, ExplorationQuery, ExplorationResult
+from repro.query.explore import (
+    CoverageReport,
+    ExplorationEngine,
+    ExplorationQuery,
+    ExplorationResult,
+)
 from repro.query.leafscan import (
     ScanContext,
     ScanStats,
-    decode_leaf_columns_task,
-    decode_leaf_task,
-    resident_columns,
-    resident_table,
+    align_columns,
+    read_columns,
+    read_rows,
+    read_rows_by_epoch,
+    scan_leaves,
 )
 from repro.spatial.geometry import BoundingBox, Point
 from repro.spatial.rtree import RTree
@@ -430,14 +435,49 @@ class Spate(Framework):
 
     @_reads
     def read_table(self, epoch: int, table: str) -> Table | None:
-        """Decompress one table of one stored snapshot.
+        """Decompress one table of one stored snapshot (a one-leaf scan
+        of every column, transposed into fresh rows).
 
         Raises:
             QueryError: if the epoch was never ingested.
             DecayedDataError: if the snapshot has been evicted by decay.
         """
-        leaf = self._require_leaf(epoch)
-        return self._read_leaf_table(leaf, table)
+        from repro.compression.typedchannel import table_from_columns
+
+        scanned = self._scan_leaf(self._require_leaf(epoch), table)
+        if scanned is None:
+            return None
+        names, cells, n_rows = scanned
+        return table_from_columns(
+            table, list(names), [cells[name] for name in names], n_rows
+        )
+
+    @_reads
+    def table_columns(
+        self, table: str, first_epoch: int, last_epoch: int
+    ) -> list[str]:
+        """Schema of ``table`` over the range: the column names of the
+        first readable leaf holding it — a one-leaf scan that asks for no
+        column, so a resident or typed-channel leaf decodes no cell."""
+        for leaf in self.index.leaves():
+            if leaf.decayed or not first_epoch <= leaf.epoch <= last_epoch:
+                continue
+            scanned = self._scan_leaf(leaf, table, columns=(), partial_ok=True)
+            if scanned is not None:
+                return list(scanned[0])
+        return []
+
+    def _scan_leaf(
+        self, leaf: SnapshotLeaf, table: str, columns=None, partial_ok=False
+    ):
+        """One leaf through the scan pipeline, outside any query's
+        telemetry: ``(names, {column: cells}, n_rows)``, or None when the
+        leaf lacks the table (or, under ``partial_ok``, is unreadable)."""
+        scanned = scan_leaves(
+            self._scan_context(), [leaf], table, leaf.epoch, leaf.epoch,
+            columns, ScanStats(), CoverageReport(), partial_ok,
+        )
+        return scanned[0][1:] if scanned else None
 
     @_reads
     def read_snapshot(self, epoch: int) -> Snapshot:
@@ -447,12 +487,9 @@ class Spate(Framework):
             QueryError: if the epoch was never ingested.
             DecayedDataError: if the snapshot has been evicted by decay.
         """
-        leaf = self._require_leaf(epoch)
         snapshot = Snapshot(epoch=epoch)
-        for name in sorted(leaf.table_paths):
-            loaded = self._read_leaf_table(leaf, name)
-            if loaded is not None:
-                snapshot.add_table(loaded)
+        for name in sorted(self._require_leaf(epoch).table_paths):
+            snapshot.add_table(self.read_table(epoch, name))
         return snapshot
 
     def _require_leaf(self, epoch: int) -> SnapshotLeaf:
@@ -471,226 +508,6 @@ class Spate(Framework):
         return [leaf.epoch for leaf in self.index.leaves() if not leaf.decayed]
 
     @_reads
-    def read_rows(
-        self,
-        table: str,
-        first_epoch: int,
-        last_epoch: int,
-        partial_ok: bool = False,
-        predicates=None,
-        columns=None,
-    ) -> tuple[list[str], list[list[str]]]:
-        """Scan one table across an epoch range — the SQL table scan.
-
-        Extends the base contract with a parallel decode stage and two
-        pushdown hints: ``predicates`` (a list of
-        :class:`~repro.query.sql.planner.ScanPredicate`; a leaf whose
-        day summary disproves one is skipped unread — sound because
-        summaries survive decay and fungus as supersets of their
-        leaves, and the SQL executor re-applies every predicate
-        row-wise anyway) and ``columns`` (the referenced-column set; on
-        the columnar layout only these are decoded, the rest stay blank
-        in the full-width rows).  A pruned leaf is never touched, so
-        its quarantine state is irrelevant to it.  Returned rows match
-        the serial, unpruned base scan exactly on every column a hint
-        allowed the caller to reference.
-        """
-        out_columns, by_epoch = self._read_rows_grouped(
-            table, first_epoch, last_epoch, partial_ok, predicates, columns
-        )
-        rows: list[list[str]] = []
-        for __, chunk in by_epoch:
-            rows.extend(chunk)
-        return out_columns, rows
-
-    @_reads
-    def read_rows_by_epoch(
-        self,
-        table: str,
-        first_epoch: int,
-        last_epoch: int,
-        partial_ok: bool = False,
-        predicates=None,
-        columns=None,
-    ) -> tuple[list[str], list[tuple[int, list[list[str]]]]]:
-        """:meth:`read_rows` with the per-epoch grouping kept.
-
-        Returns ``(columns, [(epoch, rows), ...])`` in ascending epoch
-        order; flattening the groups reproduces :meth:`read_rows`
-        byte-for-byte.  The shard coordinator merges worker answers at
-        epoch granularity, so it needs the boundaries the flat scan
-        throws away.
-        """
-        return self._read_rows_grouped(
-            table, first_epoch, last_epoch, partial_ok, predicates, columns
-        )
-
-    def _scan_leaf_plan(
-        self,
-        ctx,
-        coverage: dict,
-        stats: ScanStats,
-        table: str,
-        first_epoch: int,
-        last_epoch: int,
-        partial_ok: bool,
-        predicates: list,
-        columns,
-    ) -> tuple[list[tuple[int, str, object]], list[tuple]]:
-        """Shared gatekeeping for the row- and column-form scans.
-
-        Runs on the calling thread (DFS and the leaf cache are not
-        thread-safe) and returns ``(plan, tasks)``: plan entries fold in
-        this epoch order as ``(epoch, kind, payload)`` where ``"table"``
-        carries a cache-hit Table, ``"channels"`` a typed-channel leaf's
-        cache-served ``(header, channels)``, ``"absent"`` None, and
-        ``"task"`` an index into the decode task list.  Gate order per
-        leaf: summary → quarantine → :meth:`ScanContext.plan_leaf`
-        (cache probe → zone gate → DFS read).
-        """
-        from repro.query.sql.planner import disproved_by_summary
-
-        wanted = tuple(columns) if columns is not None else None
-        proj = ctx.projection(wanted) if wanted is not None else None
-        plan: list[tuple[int, str, object]] = []
-        tasks: list[tuple] = []
-        for leaf in self.index.leaves():
-            if leaf.decayed or not (first_epoch <= leaf.epoch <= last_epoch):
-                continue
-            if ctx.pruning and predicates:
-                day = self.index.find_day(leaf.day_key)
-                summary = day.summary if day is not None else None
-                if summary is not None and disproved_by_summary(
-                    summary, table, predicates
-                ):
-                    coverage["epochs_pruned"].append(leaf.epoch)
-                    stats.leaves_pruned += 1
-                    continue
-            if leaf.quarantined:
-                exc = self._quarantine_error(leaf)
-                if not partial_ok:
-                    raise exc
-                coverage["epochs_skipped"][leaf.epoch] = str(exc)
-                continue
-            path = leaf.table_paths.get(table)
-            if path is None:
-                plan.append((leaf.epoch, "absent", None))
-                continue
-            try:
-                kind, payload = ctx.plan_leaf(
-                    stats, leaf.epoch, table, path, proj, wanted,
-                    predicates=predicates,
-                )
-            except StorageError as exc:
-                if not partial_ok:
-                    raise
-                coverage["epochs_skipped"][leaf.epoch] = str(exc)
-                continue
-            if kind == "pruned":
-                coverage["epochs_pruned"].append(leaf.epoch)
-                continue
-            if kind == "task":
-                tasks.append(payload)
-                payload = len(tasks) - 1
-            plan.append((leaf.epoch, kind, payload))
-        return plan, tasks
-
-    def _read_rows_grouped(
-        self,
-        table: str,
-        first_epoch: int,
-        last_epoch: int,
-        partial_ok: bool = False,
-        predicates=None,
-        columns=None,
-    ) -> tuple[list[str], list[tuple[int, list[list[str]]]]]:
-        ctx = self._scan_context()
-        coverage: dict = {
-            "epochs_served": [],
-            "epochs_skipped": {},
-            "epochs_pruned": [],
-        }
-        self.last_scan_coverage = coverage
-        stats = ScanStats()
-        self.last_scan_stats = stats
-        predicates = list(predicates or [])
-        plan, tasks = self._scan_leaf_plan(
-            ctx, coverage, stats, table, first_epoch, last_epoch,
-            partial_ok, predicates, columns,
-        )
-
-        decoded, run, __ = ctx.executor.run_chunked(
-            decode_leaf_task, tasks, ctx.chunk_size
-        )
-        stats.on_run(run)
-
-        out_columns: list[str] = []
-        by_epoch: list[tuple[int, list[list[str]]]] = []
-        for epoch, kind, payload in plan:
-            if kind == "task":
-                loaded, nbytes, channel_stats = decoded[payload]
-                stats.bytes_decompressed += nbytes
-                if channel_stats is not None:
-                    stats.channels_decoded += channel_stats.channels_decoded
-                    stats.channel_bytes_skipped += channel_stats.bytes_skipped
-                ctx.cache_decoded_table(epoch, tasks[payload], loaded, nbytes)
-            elif kind == "channels":
-                loaded = resident_table(table, *payload)
-            else:
-                loaded = payload  # cache hit, or None for "absent"
-            coverage["epochs_served"].append(epoch)
-            if loaded is None:
-                continue
-            stats.leaves_scanned += 1
-            if not out_columns:
-                out_columns = list(loaded.columns)
-            by_epoch.append((epoch, loaded.rows))
-
-        if not out_columns and coverage["epochs_pruned"]:
-            # Everything in range was pruned: recover the schema with
-            # one probe read so callers still see real column names.
-            out_columns = self.table_columns(table, first_epoch, last_epoch)
-        self.metrics.on_query_scan(stats)
-        return out_columns, by_epoch
-
-    @_reads
-    def read_columns(
-        self,
-        table: str,
-        first_epoch: int,
-        last_epoch: int,
-        partial_ok: bool = False,
-        predicates=None,
-        columns=None,
-    ) -> tuple[list[str], list[list[str]]]:
-        """Column-major twin of :meth:`read_rows` — the feed for the
-        vectorized SQL engine's column batches.
-
-        Returns ``(column_names, per-column cell lists)``.  Same epoch
-        order, same pruning/quarantine/coverage behaviour, same pushdown
-        contract; transposing the result reproduces :meth:`read_rows`
-        byte-for-byte.  Typed-channel and columnar-layout leaves decode
-        straight into columns (the per-leaf row transpose disappears);
-        cache-hit leaves transpose the cached Table on the way out.
-        Typed-channel decodes leave their channels in the leaf cache, and
-        a leaf whose wanted channels are all resident is served from it
-        without a DFS read; those cell lists are shared, so per-epoch
-        chunks are read-only to every consumer.
-        """
-        out_columns, by_epoch = self._read_columns_grouped(
-            table, first_epoch, last_epoch, partial_ok, predicates, columns
-        )
-        data: list[list[str]] = [[] for __ in out_columns]
-        for __, chunk in by_epoch:
-            n_rows = len(chunk[0]) if chunk else 0
-            for c in range(len(out_columns)):
-                if c < len(chunk):
-                    data[c].extend(chunk[c])
-                else:
-                    data[c].extend([""] * n_rows)
-        return out_columns, data
-
-    @_reads
     def read_columns_by_epoch(
         self,
         table: str,
@@ -700,75 +517,54 @@ class Spate(Framework):
         predicates=None,
         columns=None,
     ) -> tuple[list[str], list[tuple[int, list[list[str]]]]]:
-        """:meth:`read_columns` with the per-epoch grouping kept — the
-        shard worker's column-scan RPC payload."""
-        return self._read_columns_grouped(
-            table, first_epoch, last_epoch, partial_ok, predicates, columns
-        )
+        """Scan one table across an epoch range — the SQL table scan,
+        and the shard worker's scan RPC payload.
 
-    def _read_columns_grouped(
-        self,
-        table: str,
-        first_epoch: int,
-        last_epoch: int,
-        partial_ok: bool = False,
-        predicates=None,
-        columns=None,
-    ) -> tuple[list[str], list[tuple[int, list[list[str]]]]]:
-        ctx = self._scan_context()
-        coverage: dict = {
-            "epochs_served": [],
-            "epochs_skipped": {},
-            "epochs_pruned": [],
+        Returns ``(columns, [(epoch, per-column cell lists), ...])`` in
+        ascending epoch order, one chunk per scanned leaf
+        (:func:`~repro.query.leafscan.scan_leaves`).  The schema is the
+        first scanned leaf's; every chunk is aligned to it by column
+        name (:func:`~repro.query.leafscan.align_columns`).
+
+        Two pushdown hints: ``predicates`` (a list of
+        :class:`~repro.query.sql.planner.ScanPredicate`; a leaf whose
+        day summary or zone maps disprove one is skipped unread — the
+        SQL executor re-applies every predicate row-wise anyway) and
+        ``columns`` (the referenced-column set; only these are decoded
+        and served, the rest stay blank).  A pruned leaf is never
+        touched, so its quarantine state is irrelevant to it.  Cells
+        match the serial, unpruned base scan exactly on every column a
+        hint allowed the caller to reference.  Cell lists may be the
+        leaf cache's own, so chunks are read-only to every consumer.
+        """
+        report = CoverageReport()
+        self.last_scan_coverage = {
+            "epochs_served": report.epochs_served,
+            "epochs_skipped": report.epochs_skipped,
+            "epochs_pruned": report.epochs_pruned,
         }
-        self.last_scan_coverage = coverage
-        stats = ScanStats()
-        self.last_scan_stats = stats
-        predicates = list(predicates or [])
-        plan, tasks = self._scan_leaf_plan(
-            ctx, coverage, stats, table, first_epoch, last_epoch,
-            partial_ok, predicates, columns,
+        stats = self.last_scan_stats = ScanStats()
+        scanned = scan_leaves(
+            self._scan_context(), self.index.leaves(), table,
+            first_epoch, last_epoch, columns, stats, report,
+            partial_ok, predicates=predicates,
         )
-
-        decoded, run, __ = ctx.executor.run_chunked(
-            decode_leaf_columns_task, tasks, ctx.chunk_size
-        )
-        stats.on_run(run)
-
-        out_columns: list[str] = []
-        by_epoch: list[tuple[int, list[list[str]]]] = []
-        for epoch, kind, payload in plan:
-            if kind == "task":
-                names, column_values, nbytes, channel_stats = decoded[payload]
-                stats.bytes_decompressed += nbytes
-                if channel_stats is not None:
-                    stats.channels_decoded += channel_stats.channels_decoded
-                    stats.channel_bytes_skipped += channel_stats.bytes_skipped
-                ctx.cache_decoded_columns(
-                    epoch, tasks[payload], names, column_values
-                )
-            elif kind == "channels":
-                names, column_values = resident_columns(*payload)
-            elif kind == "table":
-                loaded = payload  # cache hit: transpose on the way out
-                names = list(loaded.columns)
-                column_values = [
-                    [row[c] for row in loaded.rows]
-                    for c in range(len(loaded.columns))
-                ]
-            else:
-                coverage["epochs_served"].append(epoch)
-                continue  # absent
-            coverage["epochs_served"].append(epoch)
-            stats.leaves_scanned += 1
-            if not out_columns:
-                out_columns = list(names)
-            by_epoch.append((epoch, column_values))
-
-        if not out_columns and coverage["epochs_pruned"]:
+        out_columns = list(scanned[0][1]) if scanned else []
+        by_epoch = [
+            (epoch, align_columns(out_columns, cells, n_rows))
+            for epoch, __, cells, n_rows in scanned
+        ]
+        if not out_columns and report.epochs_pruned:
+            # Everything in range was pruned: recover the schema with
+            # one probe read so callers still see real column names.
             out_columns = self.table_columns(table, first_epoch, last_epoch)
         self.metrics.on_query_scan(stats)
         return out_columns, by_epoch
+
+    # The other scan forms are edge transposes of the one above.
+    read_columns = read_columns
+    read_rows_by_epoch = read_rows_by_epoch
+    read_rows = read_rows
 
     @_reads
     def table_statistics(self, table: str, first_epoch: int, last_epoch: int):
@@ -1309,55 +1105,41 @@ class Spate(Framework):
         # track live config (tests reassign ``spate.config``).
         return ExplorationEngine(
             index=self.index,
-            read_leaf_table=self._read_leaf_table,
             cell_locations=self.cell_locations,
             scan_context=self._scan_context(),
         )
 
     def _scan_context(self) -> ScanContext:
         """The parallel-scan view of this warehouse for the read path."""
+        cached = self.leaf_cache is not None
         return ScanContext(
             executor=self.executor,
             codec_name=self.config.static_codec,
             layout=self.config.layout,
             pruning=self.config.query_pruning,
             read_payload=self.dfs.read_file,
-            cache_get=self._scan_cache_get,
-            cache_put=self._scan_cache_put,
+            cache_get=self._scan_cache_get if cached else None,
+            cache_put=self._scan_cache_put if cached else None,
             codec_of=self._leaf_codec_info,
-            cache_put_channels=(
-                self._scan_cache_put_channels
-                if self.leaf_cache is not None
-                else None
-            ),
+            day_summary=self._day_summary,
         )
 
-    def _scan_cache_get(self, epoch: int, table: str, columns=None) -> tuple:
-        """One scan's leaf-cache probe (:meth:`LeafCache.lookup`); the
-        hit or miss is counted here, at the probe, so the metrics agree
-        with the cache's own counters whatever the decode then does."""
-        if self.leaf_cache is None:
-            return None, None, None
-        found = self.leaf_cache.lookup(epoch, table, columns)
-        self.metrics.on_leaf_cache(
-            hit=found[0] is not None or found[2] is not None
-        )
+    def _day_summary(self, leaf: SnapshotLeaf) -> HighlightSummary | None:
+        day = self.index.find_day(leaf.day_key)
+        return day.summary if day is not None else None
+
+    def _scan_cache_get(self, epoch: int, table: str, columns) -> tuple:
+        """One scan's leaf-cache probe (:meth:`LeafCache.get`); the hit
+        or miss is counted here, at the probe, so the metrics agree with
+        the cache's own counters whatever the decode then does."""
+        found = self.leaf_cache.get(epoch, table, columns)
+        self.metrics.on_leaf_cache(hit=found[1] is not None)
         return found
 
     def _scan_cache_put(
-        self, epoch: int, table: str, loaded: Table, nbytes: int
+        self, epoch: int, table: str, descriptor, columns: dict, nbytes: int
     ) -> None:
-        if self.leaf_cache is None:
-            return
-        evicted = self.leaf_cache.put(epoch, table, loaded, nbytes)
-        self.metrics.on_leaf_cache_change(
-            evicted, 0, self.leaf_cache.current_bytes
-        )
-
-    def _scan_cache_put_channels(
-        self, epoch: int, table: str, header, channels: dict
-    ) -> None:
-        evicted = self.leaf_cache.put_channels(epoch, table, header, channels)
+        evicted = self.leaf_cache.put(epoch, table, descriptor, columns, nbytes)
         self.metrics.on_leaf_cache_change(
             evicted, 0, self.leaf_cache.current_bytes
         )
@@ -1365,14 +1147,6 @@ class Spate(Framework):
     def _bump_index_version(self) -> None:
         """Invalidate cached query results: the indexed state changed."""
         self.index_version += 1
-
-    @staticmethod
-    def _quarantine_error(leaf: SnapshotLeaf) -> LeafQuarantinedError:
-        return LeafQuarantinedError(
-            f"epoch {leaf.epoch} is quarantined: its blocks had no "
-            "live valid replica at recovery (heal + verify_leaves "
-            "to re-check, or query with partial_ok)"
-        )
 
     def _leaf_codec_info(
         self, epoch: int, table: str
@@ -1394,31 +1168,12 @@ class Spate(Framework):
         hand the leaf itself rather than an epoch)."""
         return resolve_codec(*self._leaf_codec_info(leaf.epoch, table))
 
-    def _read_leaf_table(self, leaf: SnapshotLeaf, table: str) -> Table | None:
-        from repro.core.layout import deserialize_table
-
-        if leaf.quarantined:
-            raise self._quarantine_error(leaf)
-        if self.leaf_cache is not None:
-            cached = self.leaf_cache.get(leaf.epoch, table)
-            self.metrics.on_leaf_cache(hit=cached is not None)
-            if cached is not None:
-                return cached
-        path = leaf.table_paths.get(table)
-        if path is None:
-            return None
-        codec = self._codec_for_leaf(leaf, table)
-        payload = codec.decompress(self.dfs.read_file(path))
-        loaded = deserialize_table(table, payload, self.config.layout)
-        self._scan_cache_put(leaf.epoch, table, loaded, len(payload))
-        return loaded
-
     def _find_leaf(self, epoch: int) -> SnapshotLeaf | None:
         return self.index.find_leaf(epoch)
 
     def _invalidate_cached_epochs(self, epochs: list[int]) -> None:
-        """Drop cached tables, headers and channels of leaves that
-        decay, the fungus or recompaction purged or rewrote."""
+        """Drop cached descriptors and columns of leaves that decay,
+        the fungus or recompaction purged or rewrote."""
         if self.leaf_cache is None or not epochs:
             return
         dropped = 0

@@ -22,22 +22,13 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field
+from itertools import compress
 
 from repro.core.snapshot import EPOCHS_PER_DAY
-from repro.errors import (
-    LeafQuarantinedError,
-    QueryDeadlineError,
-    QueryError,
-    StorageError,
-)
+from repro.errors import LeafQuarantinedError, QueryDeadlineError, QueryError
 from repro.index.highlights import CELL_COLUMN, Highlight, NumericStats
 from repro.index.temporal import TemporalIndex
-from repro.query.leafscan import (
-    ScanContext,
-    ScanStats,
-    decode_leaf_task,
-    resident_table,
-)
+from repro.query.leafscan import ScanContext, ScanStats, scan_leaves
 from repro.spatial.geometry import BoundingBox, Point
 
 
@@ -214,24 +205,19 @@ class ExplorationEngine:
     def __init__(
         self,
         index: TemporalIndex,
-        read_leaf_table,
         cell_locations: dict[str, Point],
-        scan_context: ScanContext | None = None,
+        scan_context: ScanContext,
     ) -> None:
         """
         Args:
             index: the temporal index.
-            read_leaf_table: callable ``(SnapshotLeaf, table_name) ->
-                Table | None`` that loads and decompresses one table of
-                one leaf from storage.
             cell_locations: cell id -> centroid, for the spatial filter.
-            scan_context: when provided, snapshot scans fan leaf decodes
-                out through its executor and prune whole days whose
-                summary disproves the spatial filter; None keeps the
-                serial read-one-leaf-at-a-time reference path.
+            scan_context: the warehouse as :func:`~repro.query.leafscan.
+                scan_leaves` sees it — snapshot scans fan leaf decodes
+                out through its executor and prune days and leaves whose
+                summary or zone maps disprove the spatial filter.
         """
         self._index = index
-        self._read_leaf_table = read_leaf_table
         self._cell_locations = cell_locations
         self._scan = scan_context
 
@@ -406,244 +392,93 @@ class ExplorationEngine:
         query: ExplorationQuery,
         cells: set[str] | None,
         result: ExplorationResult,
-        partial_ok: bool = False,
-        deadline: _Deadline | None = None,
-    ) -> None:
-        """Exact path: decompress the day's in-window leaves and filter."""
-        if self._scan is not None:
-            self._scan_day_parallel(
-                day, query, cells, result, partial_ok, deadline
-            )
-            return
-        coverage = result.coverage
-        for leaf in day.live_leaves():
-            if leaf.epoch < query.first_epoch or leaf.epoch > query.last_epoch:
-                continue
-            if deadline is not None and deadline.expired():
-                if not partial_ok:
-                    raise QueryDeadlineError(
-                        f"query deadline expired at epoch {leaf.epoch}"
-                    )
-                coverage.epochs_skipped[leaf.epoch] = "deadline"
-                coverage.deadline_hit = True
-                continue
-            if getattr(leaf, "quarantined", False) and partial_ok:
-                coverage.epochs_skipped[leaf.epoch] = "quarantined"
-                continue
-            try:
-                table = self._read_leaf_table(leaf, query.table)
-            except StorageError as exc:
-                if not partial_ok:
-                    raise
-                coverage.epochs_skipped[leaf.epoch] = f"unreadable: {exc}"
-                continue
-            result.snapshots_read += 1
-            coverage.epochs_served.append(leaf.epoch)
-            if table is None:
-                continue
-            result.scan_stats.leaves_scanned += 1
-            self._fold_leaf_table(result, query, cells, leaf.epoch, table)
-
-    def _fold_leaf_table(
-        self,
-        result: ExplorationResult,
-        query: ExplorationQuery,
-        cells: set[str] | None,
-        epoch: int,
-        table,
-    ) -> None:
-        """Merge one decoded leaf table into the result (both scan paths
-        share this fold, which is what keeps them byte-identical)."""
-        if not result.columns:
-            # Columns come from the *query*, not from whichever leaf
-            # happened to be scanned first: later leaves may expose a
-            # different table schema (e.g. after a fungus rewrite),
-            # and every record must keep the same width.
-            result.columns = ["epoch", *query.attributes]
-        attr_idx = [
-            (a, table.column_index(a) if a in table.columns else None)
-            for a in query.attributes
-        ]
-        cell_col = CELL_COLUMN.get(query.table)
-        cell_idx = (
-            table.column_index(cell_col)
-            if cells is not None and cell_col in table.columns
-            else None
-        )
-        for row in table.rows:
-            if cell_idx is not None and row[cell_idx] not in cells:
-                continue
-            record = [str(epoch)] + [
-                row[idx] if idx is not None else "" for __, idx in attr_idx
-            ]
-            result.records.append(record)
-            for name, idx in attr_idx:
-                if idx is None:
-                    continue
-                value = row[idx]
-                if value and _is_int(value):
-                    stats = result.aggregates.get(name)
-                    if stats is None:
-                        stats = result.aggregates[name] = NumericStats()
-                    stats.add(int(value))
-
-    def _scan_day_parallel(
-        self,
-        day,
-        query: ExplorationQuery,
-        cells: set[str] | None,
-        result: ExplorationResult,
         partial_ok: bool,
-        deadline: _Deadline | None,
+        deadline: _Deadline,
     ) -> None:
-        """Scan a day's leaves with pruning and a parallel decode stage.
-
-        Three phases, all merged in epoch order so the answer is
-        byte-identical to the serial scan:
-
-        1. day-level pruning — if the day summary proves no row can
-           match the spatial filter, every leaf is skipped unread;
-        2. a main-thread gatekeeping pass that applies the exact serial
-           per-leaf policy (deadline, quarantine, then
-           :meth:`ScanContext.plan_leaf`: cache probe, zone gate, DFS
-           read) and collects decode tasks;
-        3. a chunked executor fan-out over the decode tasks, re-checking
-           the deadline between chunks, followed by the epoch-order fold.
-        """
-        ctx = self._scan
+        """Exact path: scan the day's in-window leaves and fold the
+        projected columns of each, in epoch order."""
         coverage = result.coverage
-        stats = result.scan_stats
-        leaves = [
-            leaf
-            for leaf in day.live_leaves()
-            if query.first_epoch <= leaf.epoch <= query.last_epoch
-        ]
-        if not leaves:
-            return
-
-        if (
-            ctx.pruning
-            and cells is not None
-            and day.summary is not None
-            and day.summary.excludes_cells(query.table, cells)
-        ):
-            # The summary covers every leaf of the day (decay and fungus
-            # only ever shrink leaves under it), so disproof at day level
-            # is disproof for each in-window leaf.
-            for leaf in leaves:
-                if not result.columns and leaf.table_paths.get(query.table):
-                    result.columns = ["epoch", *query.attributes]
-                coverage.epochs_pruned.append(leaf.epoch)
-                stats.leaves_pruned += 1
-            return
-
         cell_col = CELL_COLUMN.get(query.table)
-        wanted = (
-            (*query.attributes, cell_col)
-            if cells is not None and cell_col is not None
-            else query.attributes
-        )
-        proj = ctx.projection(wanted)
-        # Typed-channel leaves: when the cell-id channel's zone map holds
-        # the complete distinct set and it misses the query box's cells,
-        # no row of the leaf can match (the row filter would drop them
-        # all), so the gate skips it.
+        # The leaf scan uses the filter to skip what cannot match: a day
+        # whose summary excludes the box's cells, and a typed-channel
+        # leaf whose cell-id zone map holds the complete distinct set
+        # and misses them.
         cell_filter = (
             (cell_col, cells)
             if cells is not None and cell_col is not None
             else None
         )
-
-        # Phase 2: gatekeeping on the main thread (DFS and the leaf
-        # cache are not thread-safe).  Each entry is folded later in
-        # this same order.
-        plan: list[tuple[object, str, object]] = []
-        tasks: list[tuple] = []
-        for leaf in leaves:
-            if deadline is not None and deadline.expired():
-                if not partial_ok:
-                    raise QueryDeadlineError(
-                        f"query deadline expired at epoch {leaf.epoch}"
-                    )
-                coverage.epochs_skipped[leaf.epoch] = "deadline"
-                coverage.deadline_hit = True
-                plan.append((leaf, "skipped", None))
-                continue
-            if getattr(leaf, "quarantined", False):
-                if not partial_ok:
-                    raise LeafQuarantinedError(
-                        f"epoch {leaf.epoch} is quarantined: its blocks had "
-                        "no live valid replica at recovery (heal + "
-                        "verify_leaves to re-check, or query with partial_ok)"
-                    )
-                coverage.epochs_skipped[leaf.epoch] = "quarantined"
-                plan.append((leaf, "skipped", None))
-                continue
-            path = leaf.table_paths.get(query.table)
-            if path is None:
-                plan.append((leaf, "absent", None))
-                continue
-            try:
-                kind, payload = ctx.plan_leaf(
-                    stats, leaf.epoch, query.table, path, proj, wanted,
-                    cell_filter=cell_filter,
-                )
-            except StorageError as exc:
-                if not partial_ok:
-                    raise
-                coverage.epochs_skipped[leaf.epoch] = f"unreadable: {exc}"
-                plan.append((leaf, "skipped", None))
-                continue
-            if kind == "pruned":
-                if not result.columns:
-                    result.columns = ["epoch", *query.attributes]
-                coverage.epochs_pruned.append(leaf.epoch)
-                continue
-            if kind == "task":
-                tasks.append(payload)
-                payload = len(tasks) - 1
-            plan.append((leaf, kind, payload))
-
-        # Phase 3: parallel decode.  run_chunked stops submitting once
-        # the deadline expires, so tasks past the cutoff never run.
-        decoded, run, completed = ctx.executor.run_chunked(
-            decode_leaf_task,
-            tasks,
-            ctx.chunk_size,
-            should_stop=deadline.expired if deadline is not None else None,
+        served_before = len(coverage.epochs_served)
+        scanned = scan_leaves(
+            self._scan,
+            day.live_leaves(),
+            query.table,
+            query.first_epoch,
+            query.last_epoch,
+            (*query.attributes, cell_col) if cell_filter else query.attributes,
+            result.scan_stats,
+            coverage,
+            partial_ok,
+            cell_filter=cell_filter,
+            deadline=deadline,
+            skip_reason=_skip_reason,
         )
-        stats.on_run(run)
+        result.snapshots_read += len(coverage.epochs_served) - served_before
+        if not result.columns and any(
+            query.first_epoch <= leaf.epoch <= query.last_epoch
+            and leaf.epoch not in coverage.epochs_skipped
+            and leaf.table_paths.get(query.table)
+            for leaf in day.live_leaves()
+        ):
+            # Columns come from the *query*, not from whichever leaf
+            # happened to be scanned first (later leaves may expose a
+            # different schema, e.g. after a fungus rewrite, and every
+            # record must keep the same width) — and a pruned leaf
+            # counts, so pruning never changes them.
+            result.columns = ["epoch", *query.attributes]
+        for epoch, __, columns, n_rows in scanned:
+            self._fold_leaf(result, query, cell_filter, epoch, columns, n_rows)
 
-        for leaf, kind, payload in plan:
-            if kind == "skipped":
+    @staticmethod
+    def _fold_leaf(
+        result: ExplorationResult,
+        query: ExplorationQuery,
+        cell_filter,
+        epoch: int,
+        columns: dict[str, list[str]],
+        n_rows: int,
+    ) -> None:
+        """Merge one scanned leaf into the result, column-wise: filter
+        by cell, emit one record per row, aggregate each attribute.  An
+        attribute the leaf lacks pads its records with ``""``."""
+        attrs = [columns.get(a) for a in query.attributes]
+        cell_ids = columns.get(cell_filter[0]) if cell_filter else None
+        if cell_ids is not None:
+            cells = cell_filter[1]
+            keep = [c in cells for c in cell_ids]
+            attrs = [
+                None if column is None else list(compress(column, keep))
+                for column in attrs
+            ]
+            n_rows = sum(keep)
+        blanks = [""] * n_rows
+        tag = str(epoch)
+        result.records.extend(
+            [tag, *values]
+            for values in zip(*(blanks if c is None else c for c in attrs))
+        )
+        for name, column in zip(query.attributes, attrs):
+            numeric = [int(v) for v in column or () if v and _is_int(v)]
+            if not numeric:
                 continue
-            if kind == "task":
-                if payload >= completed:
-                    if not partial_ok:
-                        raise QueryDeadlineError(
-                            f"query deadline expired at epoch {leaf.epoch}"
-                        )
-                    coverage.epochs_skipped[leaf.epoch] = "deadline"
-                    coverage.deadline_hit = True
-                    continue
-                table, nbytes, channel_stats = decoded[payload]
-                stats.bytes_decompressed += nbytes
-                if channel_stats is not None:
-                    stats.channels_decoded += channel_stats.channels_decoded
-                    stats.channel_bytes_skipped += channel_stats.bytes_skipped
-                ctx.cache_decoded_table(
-                    leaf.epoch, tasks[payload], table, nbytes
-                )
-            elif kind == "channels":
-                table = resident_table(query.table, *payload)
+            batch = NumericStats(
+                len(numeric), sum(numeric), min(numeric), max(numeric)
+            )
+            mine = result.aggregates.get(name)
+            if mine is None:
+                result.aggregates[name] = batch
             else:
-                table = payload  # "table" (cache hit) or "absent" (None)
-            result.snapshots_read += 1
-            coverage.epochs_served.append(leaf.epoch)
-            if table is None:
-                continue
-            stats.leaves_scanned += 1
-            self._fold_leaf_table(result, query, cells, leaf.epoch, table)
+                mine.merge(batch)
 
     def _fold_summary(
         self,
@@ -671,6 +506,13 @@ class ExplorationEngine:
                 else:
                     mine.merge(stats)
         result.highlights.extend(summary.highlights)
+
+
+def _skip_reason(exc: Exception) -> str:
+    """Why explore skipped a leaf, as its coverage itemises it."""
+    if isinstance(exc, LeafQuarantinedError):
+        return "quarantined"
+    return f"unreadable: {exc}"
 
 
 def _is_int(value: str) -> bool:

@@ -1,26 +1,34 @@
-"""Shared machinery for the parallel, pruned leaf-scan read path.
+"""The one leaf-scan pipeline of the read path.
 
-Both read paths — ``explore.evaluate``'s per-day snapshot scan and the
-SQL table scan (``Spate.read_rows``) — fan the expensive part of a leaf
-read (decompress + deserialize) out through the configured executor
-backend.  The split of responsibilities is deliberate:
+Every read surface — ``explore.evaluate``'s per-day snapshot scan, the
+SQL table scan (``read_columns`` / ``read_rows``), ``read_table`` —
+walks the temporal index to its leaves through :func:`scan_leaves` and
+is a fold over the columns it returns: SQL concatenates them, the row
+forms transpose them at the facade edge, explore aggregates them.
+Columns are the one decoded form (:func:`decode_leaf_task`) and the one
+resident form (:mod:`repro.core.leaf_cache`), whatever codec or layout
+stored the leaf.
 
-- the **main thread** does everything that touches shared mutable state:
-  DFS reads (the simulated DFS and its fault injector are not
-  thread-safe), leaf-cache lookups/inserts, coverage bookkeeping, and
+The expensive part of a leaf read (decompress + decode) fans out
+through the configured executor backend.  The split of responsibilities
+is deliberate:
+
+- the **main thread** does everything that touches shared mutable
+  state: DFS reads (the simulated DFS and its fault injector are not
+  thread-safe), leaf-cache probes/inserts, coverage bookkeeping, and
   the deterministic epoch-order merge;
 - **workers** run :func:`decode_leaf_task`, a pure function over bytes,
   so the same code serves the thread and process backends (the task
   tuple pickles cleanly).
 
 Because the fan-out only reorders *when* leaves are decoded — never the
-order their rows are merged — answers are byte-identical to the serial
-scan, whatever backend ran the decode.
+order they are merged — answers are byte-identical to the serial scan,
+whatever backend ran the decode.
 
-Leaves stored with the typed-channel codec add a third gate between
-summary pruning and decode submission: :func:`zone_map_prunes` consults
-the leaf's per-channel zone maps (no decompression) and skips the leaf
-when they *disprove* a pushed predicate or the explore cell filter.
+Leaves stored with the typed-channel codec add a gate between summary
+pruning and decode submission: :func:`zone_map_prunes` consults the
+leaf's per-channel zone maps (no decompression) and skips the leaf when
+they *disprove* a pushed predicate or the explore cell filter.
 Disproof reuses the executor's exact value semantics
 (:mod:`repro.query.sql.values`), so a zone-pruned scan returns
 byte-identical answers to a full decode.
@@ -28,19 +36,25 @@ byte-identical answers to a full decode.
 A typed-channel leaf's header is parsed **once per scan at most**: the
 gatekeeper takes it from the leaf cache when it is resident (then a
 pruned leaf costs no DFS read either) or parses it when it builds the
-decode task, and the task carries it to the worker.  Decoded channels
-go back into the same cache, so a warm scan whose wanted channels are
-all resident (:func:`resident_columns`) skips the read, the inflate and
-the column decode.
+decode task, and the task carries it to the worker.  Decoded columns go
+back into the same cache, so a warm scan whose wanted columns are all
+resident skips the read, the inflate and the decode.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Iterable, Optional
+from itertools import chain
+from typing import Callable, Iterable, Mapping, Optional, Sequence
 
-from repro.core.snapshot import Table
-from repro.errors import CorruptStreamError
+from repro.core.leaf_cache import LeafDescriptor
+from repro.core.snapshot import EPOCHS_PER_DAY
+from repro.errors import (
+    CorruptStreamError,
+    LeafQuarantinedError,
+    QueryDeadlineError,
+    StorageError,
+)
 
 
 @dataclass
@@ -175,14 +189,16 @@ class ScanContext:
     pruning: bool
     #: ``(path) -> bytes`` — raw DFS read, main thread only.
     read_payload: Callable[[str], bytes]
-    #: ``(epoch, table, columns) -> (table, header, channels)`` — one
-    #: leaf-cache probe (:meth:`repro.core.leaf_cache.LeafCache.lookup`;
-    #: all None when caching is off); counts the hit or miss.
-    cache_get: Callable[[int, str, object], tuple]
-    #: ``(epoch, table, loaded, nbytes)`` — leaf-cache insert of a full
-    #: table; counts evictions.  Projected decodes are not full tables:
-    #: go through :meth:`cache_decoded_table`.
-    cache_put: Callable[[int, str, Table, int], None]
+    #: ``(epoch, table, columns) -> (descriptor, cells)`` — the one
+    #: leaf-cache probe (:meth:`repro.core.leaf_cache.LeafCache.get`);
+    #: counts the hit or miss.  None when caching is off.
+    cache_get: Optional[Callable[[int, str, object], tuple]] = None
+    #: ``(epoch, table, descriptor, {column: cells}, nbytes)`` — the one
+    #: leaf-cache insert (:meth:`~repro.core.leaf_cache.LeafCache.put`);
+    #: counts evictions.  None when caching is off, which the row-text
+    #: decode observes: with nowhere to offer the other columns, it
+    #: transposes only the wanted ones.
+    cache_put: Optional[Callable[[int, str, object, dict, int], None]] = None
     #: Decode tasks submitted per executor round; the deadline is
     #: re-checked between rounds.
     chunk_size: int = 8
@@ -191,18 +207,28 @@ class ScanContext:
     #: walks the index and may read a dictionary off the DFS).  None
     #: falls back to the warehouse-wide ``codec_name`` for every leaf.
     codec_of: Optional[Callable[[int, str], tuple[str, Optional[bytes]]]] = None
-    #: ``(epoch, table, header, {column: cells})`` — leaf-cache insert of
-    #: a typed-channel leaf's header and decoded channels; None when
-    #: caching is off, so callers skip preparing the channels at all.
-    cache_put_channels: Optional[Callable[[int, str, object, dict], None]] = None
+    #: ``(leaf) -> HighlightSummary | None`` — the day summary covering
+    #: a leaf, for summary pruning.  None disables it.
+    day_summary: Optional[Callable[[object], object]] = None
+
+    def projection(self, columns) -> tuple[str, ...] | None:
+        """The columns a scan decodes and serves, or None for all.
+
+        One rule for every codec and layout: the referenced-column set
+        when pruning pushdown is enabled (one switch governs both
+        optimisations).  Unselected columns are not served; the facade
+        edge shows them blank.
+        """
+        if not self.pruning or columns is None:
+            return None
+        return tuple(sorted(set(columns)))
 
     def decode_task(
         self,
         table: str,
         blob: bytes,
-        columns: tuple[str, ...] | None,
+        wanted: tuple[str, ...] | None,
         epoch: int | None = None,
-        wanted: Iterable[str] | None = None,
         header=None,
     ) -> tuple:
         """Build one picklable work unit for :func:`decode_leaf_task`.
@@ -212,50 +238,24 @@ class ScanContext:
         (and shared-dictionary bytes); otherwise the warehouse-wide
         codec is assumed, as before codec tagging existed.
 
-        ``wanted`` is the raw referenced-column set before the layout
-        gate in :meth:`projection`; a typed-channel leaf decodes
-        :meth:`typed_projection` of it.
-
         ``header`` is the leaf's typed-channel header when the caller
         already holds it (from the leaf cache); otherwise a
         typed-channel blob's header is parsed here — the scan's one
         parse — and rides in the task (slot :data:`TASK_HEADER`) for the
         zone gate and the worker.
         """
+        from repro.core.layout import ROW_LAYOUT
+
         codec_name, dict_blob = self.codec_name, None
         if self.codec_of is not None and epoch is not None:
             codec_name, dict_blob = self.codec_of(epoch, table)
-        if codec_name == _TYPEDCHANNEL:
-            columns = self.typed_projection(columns, wanted)
-            if header is None:
-                header = parse_header(blob)
-        return (codec_name, dict_blob, self.layout, table, blob, columns, header)
-
-    def typed_projection(
-        self, columns: tuple[str, ...] | None, wanted: Iterable[str] | None
-    ) -> tuple[str, ...] | None:
-        """The channels a typed-channel leaf decodes for a scan (None =
-        all).  Such leaves can skip channels under *either* physical
-        layout, so when no layout-gated projection applies the raw
-        wanted set becomes the projection for those leaves alone."""
-        if columns is None and wanted is not None and self.pruning:
-            return tuple(sorted(set(wanted)))
-        return columns
-
-    def projection(self, columns) -> tuple[str, ...] | None:
-        """The column subset to decode, or None for a full decode.
-
-        Projection is only worth requesting for the columnar layout
-        (row-layout decodes can't skip columns) and only when pruning
-        pushdown is enabled — one switch governs both optimisations.
-        (Typed-channel leaves are projectable under any layout; see
-        :meth:`typed_projection`.)
-        """
-        from repro.core.layout import COLUMNAR_LAYOUT
-
-        if not self.pruning or columns is None or self.layout != COLUMNAR_LAYOUT:
-            return None
-        return tuple(sorted(set(columns)))
+        if codec_name == _TYPEDCHANNEL and header is None:
+            header = parse_header(blob)
+        if header is None and self.layout == ROW_LAYOUT and self.cache_put is not None:
+            # A row-text parse pays for every cell whatever is wanted:
+            # transpose them all and leave the whole leaf resident.
+            wanted = None
+        return (codec_name, dict_blob, self.layout, table, blob, wanted, header)
 
     def plan_leaf(
         self,
@@ -263,45 +263,41 @@ class ScanContext:
         epoch: int,
         table: str,
         path: str,
-        columns: tuple[str, ...] | None,
-        wanted: Iterable[str] | None,
+        wanted: tuple[str, ...] | None,
         predicates: Iterable = (),
         cell_filter: tuple[str, Iterable[str]] | None = None,
     ) -> tuple[str, object]:
         """Gatekeep one live leaf table on the main thread, cheapest
-        evidence first: leaf-cache probe (full table, else the resident
-        typed-channel header and channels) → zone gate → DFS read →
-        decode task.  With the header resident a disproved leaf costs no
-        read and no parse, and a leaf whose wanted channels are all
-        resident no read, inflate or column decode.
+        evidence first: leaf-cache probe → zone gate → DFS read → decode
+        task.  With a typed-channel header resident a disproved leaf
+        costs no read and no parse, and a leaf whose wanted columns are
+        all resident no read, inflate or decode.
 
-        Returns ``(kind, payload)``: ``"table"`` with the cached Table,
-        ``"channels"`` with ``(header, {column: cells})`` served from
-        the cache, ``"pruned"`` (zone maps disproved the leaf; counted
-        in ``stats``) with None, or ``"task"`` with a decode task.
+        Returns ``(kind, payload)``: ``"resident"`` with the leaf as the
+        cache served it, ``(names, {column: cells}, n_rows)``; ``"task"``
+        with a decode task; or ``"pruned"`` (zone maps disproved the
+        leaf; counted in ``stats``) with None.
 
         Raises:
             StorageError: when the DFS read fails (the caller owns the
                 strict / ``partial_ok`` policy).
         """
-        cached, header, channels = self.cache_get(
-            epoch, table, self.typed_projection(columns, wanted)
-        )
-        if cached is not None:
-            stats.cache_hits += 1
-            return "table", cached
+        descriptor = cells = None
+        if self.cache_get is not None:
+            descriptor, cells = self.cache_get(epoch, table, wanted)
+        header = descriptor.header if descriptor is not None else None
         gated = self.pruning and (predicates or cell_filter is not None)
         if header is not None:
             stats.header_cache_hits += 1
             if gated and _zone_pruned(stats, header, predicates, cell_filter):
                 return "pruned", None
-            if channels is not None:
-                stats.cache_hits += 1
-                stats.channels_from_cache += len(channels)
-                return "channels", (header, channels)
+        if cells is not None:
+            stats.cache_hits += 1
+            if header is not None:
+                stats.channels_from_cache += len(cells)
+            return "resident", (descriptor.names, cells, descriptor.n_rows)
         task = self.decode_task(
-            table, self.read_payload(path), columns,
-            epoch=epoch, wanted=wanted, header=header,
+            table, self.read_payload(path), wanted, epoch=epoch, header=header
         )
         if (
             header is None
@@ -310,68 +306,34 @@ class ScanContext:
         ):
             # Never decoded, so the fold will not cache it: leave the
             # header resident here and the next scan skips the read too.
-            if self.cache_put_channels is not None:
-                self.cache_put_channels(epoch, table, task[TASK_HEADER], {})
+            pruned = task[TASK_HEADER]
+            self.offer(epoch, task, pruned.columns, {}, pruned.n_rows, 0)
             return "pruned", None
         return "task", task
 
-    def cache_decoded_table(
-        self, epoch: int, task: tuple, loaded: Table, nbytes: int
+    def offer(
+        self, epoch: int, task: tuple, names, cells: dict, n_rows: int, nbytes: int
     ) -> None:
-        """Offer a row-form decode to the leaf cache (main thread): a
-        full decode as its Table, a projected typed-channel decode as
-        the channels it decoded.  Any other projected decode is a
-        partial table and never cached."""
-        if not task_is_projected(task):
-            self.cache_put(epoch, task[TASK_TABLE], loaded, nbytes)
-        elif self.cache_put_channels is not None and task[TASK_HEADER] is not None:
-            self.cache_put_channels(
+        """Offer one decode to the leaf cache (main thread): the leaf's
+        descriptor plus the columns the task decoded."""
+        if self.cache_put is not None:
+            self.cache_put(
                 epoch,
                 task[TASK_TABLE],
-                task[TASK_HEADER],
-                {
-                    column: loaded.column_values(column)
-                    for column in task[TASK_COLUMNS]
-                    if column in loaded.columns
-                },
+                LeafDescriptor(names, n_rows, task[TASK_HEADER]),
+                cells,
+                nbytes,
             )
-
-    def cache_decoded_columns(
-        self, epoch: int, task: tuple, names: list[str], column_values: list
-    ) -> None:
-        """Offer a column-form decode of a typed-channel leaf to the leaf
-        cache (main thread): the channels it decoded, not the shared
-        blank lists standing in for the rest."""
-        header = task[TASK_HEADER]
-        if self.cache_put_channels is None or header is None:
-            return
-        wanted = task[TASK_COLUMNS]
-        self.cache_put_channels(
-            epoch,
-            task[TASK_TABLE],
-            header,
-            {
-                name: cells
-                for name, cells in zip(names, column_values)
-                if wanted is None or name in wanted
-            },
-        )
 
 
 _TYPEDCHANNEL = "typedchannel"
 
-#: Decode task tuple slots callers read: the table name, the column
-#: projection (tells full decodes from projected ones) and the parsed
-#: typed-channel header (None for every other kind of leaf).
+#: Decode task tuple slots callers read: the table name, the columns the
+#: task decodes (None = all) and the parsed typed-channel header (None
+#: for every other kind of leaf).
 TASK_TABLE = 3
 TASK_COLUMNS = 5
 TASK_HEADER = 6
-
-
-def task_is_projected(task) -> bool:
-    """True when a decode task will produce a partial (projected)
-    table, which must never enter the leaf cache as a full one."""
-    return task[TASK_COLUMNS] is not None
 
 
 def parse_header(blob: bytes):
@@ -384,27 +346,6 @@ def parse_header(blob: bytes):
         return read_header(blob)
     except CorruptStreamError:
         return None
-
-
-def resident_columns(header, channels: dict) -> tuple[list[str], list[list[str]]]:
-    """A leaf's cache-served channels in the shape of a projected
-    ``decode_columns``: the full stored schema, unselected columns as
-    blank cell lists.  The cell lists are the cache's own — read-only."""
-    blanks = [""] * header.n_rows
-    return (
-        list(header.columns),
-        [channels.get(name, blanks) for name in header.columns],
-    )
-
-
-def resident_table(name: str, header, channels: dict) -> Table:
-    """Row form of :func:`resident_columns`, for the row scan
-    (``read_rows``) and explore: the same projected table a decode would have returned."""
-    from repro.compression.typedchannel import table_from_columns
-
-    return table_from_columns(
-        name, *resident_columns(header, channels), header.n_rows
-    )
 
 
 def zone_map_prunes(
@@ -492,56 +433,258 @@ def _zone_disproves(zone, n_rows: int, op: str, value) -> bool:
     return high < value  # ">="
 
 
-def decode_leaf_task(task: tuple) -> tuple[Table, int, Optional[object]]:
-    """Decompress + deserialize one leaf table (runs on any backend).
+def quarantine_error(leaf) -> LeafQuarantinedError:
+    """What a strict scan raises on a quarantined leaf."""
+    return LeafQuarantinedError(
+        f"epoch {leaf.epoch} is quarantined: its blocks had no "
+        "live valid replica at recovery (heal + verify_leaves "
+        "to re-check, or query with partial_ok)"
+    )
+
+
+def scan_leaves(
+    ctx: ScanContext,
+    leaves: Iterable,
+    table: str,
+    first_epoch: int,
+    last_epoch: int,
+    columns,
+    stats: ScanStats,
+    coverage,
+    partial_ok: bool = False,
+    predicates: Iterable = (),
+    cell_filter: tuple[str, Iterable[str]] | None = None,
+    deadline=None,
+    skip_reason: Callable[[Exception], str] = str,
+) -> list[tuple[int, Sequence[str], dict[str, list[str]], int]]:
+    """The one leaf walk: every read surface is a fold over what this
+    returns — each surviving leaf of ``table`` once, in epoch order, as
+    ``(epoch, column names, per-column cell lists, n_rows)``.  The names
+    are the leaf's full stored schema; the cell lists are keyed by
+    column name and hold exactly the columns the scan serves.
+
+    Three phases, merged in epoch order so the answer is byte-identical
+    whatever backend ran the decode:
+
+    1. a main-thread gate per leaf (DFS and the leaf cache are not
+       thread-safe): window → deadline → summary prune → quarantine →
+       :meth:`ScanContext.plan_leaf` (cache probe → zone gate → DFS
+       read);
+    2. a chunked executor fan-out over the decode tasks, re-checking
+       the deadline between chunks;
+    3. the fold: scan stats, the leaf-cache offer, and the projection —
+       a column the scan did not ask for is not served, whether the
+       leaf came from the cache, a selective decode or a full one.
+
+    ``columns`` is the referenced-column set (None = all),
+    ``predicates`` the pushed :class:`~repro.query.sql.planner.
+    ScanPredicate` list and ``cell_filter`` explore's ``(cell column,
+    cells in the box)``; a leaf whose day summary or zone maps disprove
+    either is skipped unread — sound because summaries survive decay and
+    fungus as supersets of their leaves, and every consumer re-applies
+    its filter row-wise.  ``coverage`` (a :class:`~repro.query.explore.
+    CoverageReport`) itemises what was served, pruned and — under
+    ``partial_ok`` — skipped, with ``skip_reason(exc)`` as the reason.
+    The cell lists may be the cache's own: read-only to every consumer.
+
+    Raises:
+        LeafQuarantinedError, StorageError, QueryDeadlineError: in
+            strict mode, where ``partial_ok`` would skip the leaf.
+    """
+    from repro.query.sql.planner import disproved_by_summary
+
+    predicates = list(predicates or ())
+    wanted = ctx.projection(columns)
+    day_pruned: dict[int, bool] = {}
+
+    def out_of_time(epoch: int) -> None:
+        if not partial_ok:
+            raise QueryDeadlineError(f"query deadline expired at epoch {epoch}")
+        coverage.epochs_skipped[epoch] = "deadline"
+        coverage.deadline_hit = True
+
+    #: ``(epoch, kind, payload)`` in fold order: ``"absent"`` (the leaf
+    #: lacks the table) None, ``"resident"`` the leaf as the cache
+    #: served it, ``"task"`` an index into ``tasks``.
+    plan: list[tuple[int, str, object]] = []
+    tasks: list[tuple] = []
+    for leaf in leaves:
+        epoch = leaf.epoch
+        if leaf.decayed or not first_epoch <= epoch <= last_epoch:
+            continue
+        if deadline is not None and deadline.expired():
+            out_of_time(epoch)
+            continue
+        if ctx.pruning and ctx.day_summary and (predicates or cell_filter):
+            day = epoch // EPOCHS_PER_DAY  # one summary covers the day
+            pruned = day_pruned.get(day)
+            if pruned is None:
+                summary = ctx.day_summary(leaf)
+                pruned = day_pruned[day] = summary is not None and (
+                    disproved_by_summary(summary, table, predicates)
+                    or cell_filter is not None
+                    and summary.excludes_cells(table, cell_filter[1])
+                )
+            if pruned:
+                coverage.epochs_pruned.append(epoch)
+                stats.leaves_pruned += 1
+                continue
+        path = leaf.table_paths.get(table)
+        kind, payload = "absent", None
+        try:
+            if leaf.quarantined:
+                raise quarantine_error(leaf)
+            if path is not None:
+                kind, payload = ctx.plan_leaf(
+                    stats, epoch, table, path, wanted, predicates, cell_filter
+                )
+        except StorageError as exc:
+            if not partial_ok:
+                raise
+            coverage.epochs_skipped[epoch] = skip_reason(exc)
+            continue
+        if kind == "pruned":
+            coverage.epochs_pruned.append(epoch)
+            continue
+        if kind == "task":
+            tasks.append(payload)
+            payload = len(tasks) - 1
+        plan.append((epoch, kind, payload))
+
+    # run_chunked stops submitting once the deadline expires, so tasks
+    # past the cutoff never run.
+    decoded, run, completed = ctx.executor.run_chunked(
+        decode_leaf_task,
+        tasks,
+        ctx.chunk_size,
+        should_stop=deadline.expired if deadline is not None else None,
+    )
+    stats.on_run(run)
+
+    scanned = []
+    for epoch, kind, payload in plan:
+        if kind == "task":
+            if payload >= completed:
+                out_of_time(epoch)
+                continue
+            task = tasks[payload]
+            names, cells, n_rows, nbytes, channel_stats = decoded[payload]
+            stats.bytes_decompressed += nbytes
+            if channel_stats is not None:
+                stats.channels_decoded += channel_stats.channels_decoded
+                stats.channel_bytes_skipped += channel_stats.bytes_skipped
+            ctx.offer(epoch, task, names, cells, n_rows, nbytes)
+            if wanted is not None and task[TASK_COLUMNS] is None:
+                cells = {name: cells[name] for name in wanted if name in cells}
+            payload = (names, cells, n_rows)
+        coverage.epochs_served.append(epoch)
+        if payload is not None:
+            stats.leaves_scanned += 1
+            scanned.append((epoch, *payload))
+    return scanned
+
+
+def align_columns(
+    schema: list[str], cells: Mapping[str, list[str]], n_rows: int
+) -> list[list[str]]:
+    """One leaf's (or one shard group's) columns in the scan schema's
+    order, full width.  Matched by column *name*: a column the leaf
+    lacks, or the scan does not serve, is blank; one the schema lacks is
+    dropped."""
+    blanks = [""] * n_rows
+    return [cells.get(name, blanks) for name in schema]
+
+
+# ----------------------------------------------------------------------
+# The facade edge: every read_* form is derived from the one
+# ``read_columns_by_epoch`` a store implements.  Bound as methods by
+# ``Spate`` and ``ShardedSpate`` (bound, not inherited: the ledger's
+# tracer patches them on each class).
+# ----------------------------------------------------------------------
+
+
+def read_columns(
+    self, table, first_epoch, last_epoch, partial_ok=False, predicates=None, columns=None
+) -> tuple[list[str], list[list[str]]]:
+    """Scan one table across an epoch range, column-major — the feed
+    for the SQL engine's column batches.
+
+    Returns ``(column_names, per-column cell lists)``: the per-epoch
+    chunks of :meth:`read_columns_by_epoch` concatenated in epoch order
+    into fresh lists.
+    """
+    out_columns, by_epoch = self.read_columns_by_epoch(
+        table, first_epoch, last_epoch, partial_ok, predicates, columns
+    )
+    return out_columns, [
+        list(chain.from_iterable(chunk[c] for __, chunk in by_epoch))
+        for c in range(len(out_columns))
+    ]
+
+
+def read_rows_by_epoch(
+    self, table, first_epoch, last_epoch, partial_ok=False, predicates=None, columns=None
+) -> tuple[list[str], list[tuple[int, list[list[str]]]]]:
+    """:meth:`read_columns_by_epoch` transposed: ``(columns, [(epoch,
+    rows), ...])`` in ascending epoch order.  Rows are fresh lists."""
+    out_columns, by_epoch = self.read_columns_by_epoch(
+        table, first_epoch, last_epoch, partial_ok, predicates, columns
+    )
+    return out_columns, [
+        (epoch, [list(row) for row in zip(*chunk)]) for epoch, chunk in by_epoch
+    ]
+
+
+def read_rows(
+    self, table, first_epoch, last_epoch, partial_ok=False, predicates=None, columns=None
+) -> tuple[list[str], list[list[str]]]:
+    """Scan one table across an epoch range, row-major: ``(columns,
+    rows)``, the transpose of :func:`read_columns` (same pruning,
+    quarantine, coverage and pushdown contract) as fresh lists."""
+    out_columns, by_epoch = self.read_rows_by_epoch(
+        table, first_epoch, last_epoch, partial_ok, predicates, columns
+    )
+    return out_columns, [row for __, rows in by_epoch for row in rows]
+
+
+def decode_leaf_task(
+    task: tuple,
+) -> tuple[list[str], dict[str, list[str]], int, int, Optional[object]]:
+    """Decompress + decode one leaf table into columns (runs on any
+    backend).
 
     Pure function over bytes: resolves its codec by name (plus the
     leaf's shared-dictionary bytes, when its tag references one) so the
     task tuple (:meth:`ScanContext.decode_task`) pickles for the process
-    backend.  Returns the table, the decompressed payload size (the
-    leaf cache charges by it), and — for typed-channel leaves, decoded
+    backend.  Returns ``(column names, {column: cells}, n_rows,
+    decompressed payload size, channel stats)``: the full stored schema,
+    and the cell lists of the columns the task selected (None = all).
+    Typed-channel and columnar-layout leaves decode straight into
+    columns; a row-text leaf parses once and transposes here, on the
+    worker.  ``channel stats`` is, for typed-channel leaves — decoded
     with the header the task carries, never a second parse — a
     :class:`~repro.compression.typedchannel.ChannelReadStats` recording
     which channels the decode touched (None otherwise).
     """
     from repro.compression.autotune import resolve_codec
-    from repro.core.layout import deserialize_table
-
-    codec_name, dict_blob, layout, table_name, blob, columns, header = task
-    if header is not None:
-        from repro.compression.typedchannel import decode_table
-
-        loaded, channel_stats = decode_table(
-            table_name, blob, columns, header=header
-        )
-        return loaded, channel_stats.bytes_decoded, channel_stats
-    payload = resolve_codec(codec_name, dict_blob).decompress(blob)
-    loaded = deserialize_table(table_name, payload, layout, columns=columns)
-    return loaded, len(payload), None
-
-
-def decode_leaf_columns_task(
-    task: tuple,
-) -> tuple[list[str], list[list[str]], int, Optional[object]]:
-    """Column-major twin of :func:`decode_leaf_task` for the vectorized
-    SQL read path: same task tuples, same gates, but typed-channel and
-    columnar-layout leaves come back as ``(columns, per-column cell
-    lists)`` *without the row transpose* — the batch engine consumes
-    columns directly.  Row-layout leaves transpose here, on the worker,
-    so the main-thread merge cost is identical either way."""
-    from repro.compression.autotune import resolve_codec
     from repro.core.layout import deserialize_table_columns
 
     codec_name, dict_blob, layout, table_name, blob, columns, header = task
+    channel_stats = None
     if header is not None:
         from repro.compression.typedchannel import decode_columns
 
-        names, column_values, channel_stats = decode_columns(
-            blob, columns, header=header
+        names, cells, channel_stats = decode_columns(blob, columns, header=header)
+        n_rows, nbytes = header.n_rows, channel_stats.bytes_decoded
+    else:
+        payload = resolve_codec(codec_name, dict_blob).decompress(blob)
+        names, cells = deserialize_table_columns(
+            table_name, payload, layout, columns=columns
         )
-        return names, column_values, channel_stats.bytes_decoded, channel_stats
-    payload = resolve_codec(codec_name, dict_blob).decompress(blob)
-    names, column_values = deserialize_table_columns(
-        table_name, payload, layout, columns=columns
-    )
-    return names, column_values, len(payload), None
+        n_rows, nbytes = len(cells[0]) if cells else 0, len(payload)
+    selected = {
+        name: column
+        for name, column in zip(names, cells)
+        if columns is None or name in columns
+    }
+    return names, selected, n_rows, nbytes, channel_stats

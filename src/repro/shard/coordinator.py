@@ -7,7 +7,7 @@ each group's sub-snapshot out to its replica set of worker shards
 (:func:`~repro.shard.key.shards_for_group`: distinct shards per group).
 Queries scatter to one live replica per group — primary first, failing
 over down the chain — and gather with partial aggregation pushed down:
-workers return per-epoch row groups, ready-merged ``NumericStats``,
+workers return per-epoch column chunks, ready-merged ``NumericStats``,
 and their own coverage/scan telemetry; the coordinator only
 concatenates in deterministic (epoch, group-rank) order and merges
 counters.
@@ -51,7 +51,13 @@ from repro.query.explore import (
     ExplorationQuery,
     ExplorationResult,
 )
-from repro.query.leafscan import ScanStats
+from repro.query.leafscan import (
+    ScanStats,
+    align_columns,
+    read_columns,
+    read_rows,
+    read_rows_by_epoch,
+)
 from repro.query.sql.planner import cell_equality_values
 from repro.shard.key import (
     RegionMap,
@@ -501,80 +507,6 @@ class ShardedSpate:
                 return columns
         return []
 
-    def read_rows_by_epoch(
-        self,
-        table: str,
-        first_epoch: int,
-        last_epoch: int,
-        partial_ok: bool = False,
-        predicates=None,
-        columns=None,
-    ) -> tuple[list[str], list[tuple[int, list[list[str]]]]]:
-        """Scatter the scan to one live replica per group and gather
-        per-epoch row groups in (epoch, group-rank) order."""
-        deadline = self._deadline()
-        merged_cov = CoverageReport()
-        merged_stats = ScanStats()
-        out_columns: list[str] = []
-        per_epoch: dict[int, list[list[str]]] = {}
-        groups = self._route_groups(table=table, predicates=predicates)
-        self._note_routed(merged_cov, groups)
-        for group in groups:
-            try:
-                gcols, g_by_epoch, gcov, gstats = self._call_group(
-                    group,
-                    "read_rows_by_epoch",
-                    table,
-                    first_epoch,
-                    last_epoch,
-                    partial_ok,
-                    predicates,
-                    columns,
-                    deadline=deadline,
-                )
-            except ShardError as exc:
-                if not partial_ok:
-                    raise
-                key = f"g{group}@s{self._chain(group)[0]}"
-                merged_cov.shards_skipped[key] = failure_reason(exc)
-                self.client.counters.inc("shards_skipped")
-                continue
-            if not out_columns and gcols:
-                out_columns = list(gcols)
-            for epoch, rows in g_by_epoch:
-                per_epoch.setdefault(epoch, []).extend(rows)
-            merged_cov.merge(_coverage_from_dict(gcov))
-            merged_stats.merge(gstats)
-        self.last_scan_coverage = _coverage_to_dict(merged_cov)
-        self.last_scan_stats = merged_stats
-        self.metrics.on_query_scan(merged_stats)
-        self.metrics.sync_shards(self.client.counters)
-        return out_columns, [
-            (epoch, per_epoch[epoch]) for epoch in sorted(per_epoch)
-        ]
-
-    def read_rows(
-        self,
-        table: str,
-        first_epoch: int,
-        last_epoch: int,
-        partial_ok: bool = False,
-        predicates=None,
-        columns=None,
-    ) -> tuple[list[str], list[list[str]]]:
-        out_columns, by_epoch = self.read_rows_by_epoch(
-            table,
-            first_epoch,
-            last_epoch,
-            partial_ok=partial_ok,
-            predicates=predicates,
-            columns=columns,
-        )
-        rows: list[list[str]] = []
-        for __, chunk in by_epoch:
-            rows.extend(chunk)
-        return out_columns, rows
-
     def read_columns_by_epoch(
         self,
         table: str,
@@ -584,9 +516,10 @@ class ShardedSpate:
         predicates=None,
         columns=None,
     ) -> tuple[list[str], list[tuple[int, list[list[str]]]]]:
-        """Column-major scatter-gather: per-epoch column chunks merged
-        by concatenating each column's cells in group-rank order — the
-        transpose of :meth:`read_rows_by_epoch`, byte for byte."""
+        """Scatter the scan to one live replica per group and gather
+        per-epoch column chunks: each column's cells concatenated in
+        group-rank order, every group aligned by column name to the
+        first answering group's schema."""
         deadline = self._deadline()
         merged_cov = CoverageReport()
         merged_stats = ScanStats()
@@ -614,18 +547,22 @@ class ShardedSpate:
                 merged_cov.shards_skipped[key] = failure_reason(exc)
                 self.client.counters.inc("shards_skipped")
                 continue
-            if not out_columns and gcols:
-                out_columns = list(gcols)
+            gcols = list(gcols)
+            if not out_columns:
+                out_columns = gcols
             for epoch, chunk in g_by_epoch:
+                if gcols != out_columns:
+                    chunk = align_columns(
+                        out_columns,
+                        dict(zip(gcols, chunk)),
+                        len(chunk[0]) if chunk else 0,
+                    )
                 existing = per_epoch.get(epoch)
                 if existing is None:
                     per_epoch[epoch] = [list(cells) for cells in chunk]
-                    continue
-                for c, cells in enumerate(chunk):
-                    if c < len(existing):
-                        existing[c].extend(cells)
-                    else:
-                        existing.append(list(cells))
+                else:
+                    for mine, cells in zip(existing, chunk):
+                        mine.extend(cells)
             merged_cov.merge(_coverage_from_dict(gcov))
             merged_stats.merge(gstats)
         self.last_scan_coverage = _coverage_to_dict(merged_cov)
@@ -636,32 +573,10 @@ class ShardedSpate:
             (epoch, per_epoch[epoch]) for epoch in sorted(per_epoch)
         ]
 
-    def read_columns(
-        self,
-        table: str,
-        first_epoch: int,
-        last_epoch: int,
-        partial_ok: bool = False,
-        predicates=None,
-        columns=None,
-    ) -> tuple[list[str], list[list[str]]]:
-        out_columns, by_epoch = self.read_columns_by_epoch(
-            table,
-            first_epoch,
-            last_epoch,
-            partial_ok=partial_ok,
-            predicates=predicates,
-            columns=columns,
-        )
-        data: list[list[str]] = [[] for __ in out_columns]
-        for __, chunk in by_epoch:
-            n_rows = len(chunk[0]) if chunk else 0
-            for c in range(len(out_columns)):
-                if c < len(chunk):
-                    data[c].extend(chunk[c])
-                else:
-                    data[c].extend([""] * n_rows)
-        return out_columns, data
+    # The other scan forms are edge transposes of the one above.
+    read_columns = read_columns
+    read_rows_by_epoch = read_rows_by_epoch
+    read_rows = read_rows
 
     def table_statistics(self, table: str, first_epoch: int, last_epoch: int):
         """Planner statistics merged across all reachable groups (row
@@ -810,7 +725,7 @@ class ShardedSpate:
         if deadline_ms is None:
             deadline_ms = self.config.query_deadline_ms or None
         # One budget spans parse-to-output AND every shard RPC slice the
-        # scans fan out (picked up thread-locally by read_rows_by_epoch).
+        # scans fan out (picked up thread-locally by read_columns_by_epoch).
         # Save/restore rather than clear: a nested sql() on the same
         # thread must not strip the outer statement's budget.
         previous = getattr(self._scan_tls, "deadline", None)

@@ -20,8 +20,9 @@ Failover across a group's replica chain lives in the coordinator; this
 module decides only whether one shard's call succeeds, retries, or
 fails fast.  Two transports: ``"inline"`` executes on the calling
 thread with *modeled* backoff (deterministic, used by tests and the
-differential gate) and ``"thread"`` runs each shard's calls on its own
-single worker thread with real wall-clock timeouts.
+differential gate) and ``"socket"`` reaches each worker process
+through its :class:`~repro.shard.transport.SocketShardProxy`, with real
+wall-clock timeouts and backoff.
 
 Only :class:`~repro.errors.ShardError` subclasses count as RPC
 failures.  Application errors — bad SQL, a quarantined leaf in strict
@@ -34,8 +35,6 @@ from __future__ import annotations
 import random
 import threading
 import time
-from concurrent.futures import ThreadPoolExecutor
-from concurrent.futures import TimeoutError as FutureTimeoutError
 
 from repro.core.config import ShardConfig
 from repro.core.retry import RetryBudget, RetryPolicy
@@ -176,28 +175,15 @@ class ShardClient:
         #: Backoff the inline transport charged as modeled time instead
         #: of sleeping (keeps seeded runs deterministic and fast).
         self.modeled_backoff_s = 0.0
-        #: Thread and socket transports have real wall clocks: retries
-        #: actually sleep, timeouts actually expire.
-        self._wall_clock = config.transport in ("thread", "socket")
+        #: The socket transport has a real wall clock: retries actually
+        #: sleep, timeouts actually expire.
+        self._wall_clock = config.transport == "socket"
         #: Test/chaos hook: called as ``(shard_id, method)`` right
         #: before each attempt is invoked — lets the chaos harness kill
         #: a shard mid-scatter at an exact RPC count.
         self.before_invoke = None
-        self._pools: dict[int, ThreadPoolExecutor] = {}
-        if config.transport == "thread":
-            # One thread per shard: a shard's store is not concurrency-
-            # safe across its own calls, and one lane per shard is
-            # exactly the process-per-shard serialization being modeled.
-            self._pools = {
-                shard_id: ThreadPoolExecutor(
-                    max_workers=1, thread_name_prefix=f"shard-{shard_id}"
-                )
-                for shard_id in workers
-            }
 
     def close(self) -> None:
-        for pool in self._pools.values():
-            pool.shutdown(wait=False)
         for worker in self.workers.values():
             closer = getattr(worker, "close", None)
             if callable(closer):
@@ -294,30 +280,7 @@ class ShardClient:
             # Socket transport: the proxy applies the timeout slice at
             # the socket itself; errors already arrive as ShardErrors.
             return remote(method, args, kwargs, self._timeout_s(deadline))
-        fn = getattr(worker, method)
-        pool = self._pools.get(shard_id)
-        if pool is None:
-            return fn(*args, **kwargs)
-        timeout_s = self._timeout_s(deadline)
-        future = pool.submit(fn, *args, **kwargs)
-        try:
-            return future.result(timeout=timeout_s)
-        except FutureTimeoutError:
-            future.cancel()
-            # cancel() is a no-op once the call started: the stale call
-            # would keep occupying this shard's single lane, and the
-            # next query's RPC — budgeted by its *own* deadline — would
-            # queue behind it and time out through no fault of its own.
-            # Retire the poisoned lane and start a fresh one, exactly
-            # like abandoning a wedged connection to a real process.
-            pool.shutdown(wait=False)
-            self._pools[shard_id] = ThreadPoolExecutor(
-                max_workers=1, thread_name_prefix=f"shard-{shard_id}"
-            )
-            raise ShardTimeoutError(
-                f"shard {shard_id}: {method} exceeded its "
-                f"{timeout_s * 1000:.0f} ms slice"
-            ) from None
+        return getattr(worker, method)(*args, **kwargs)
 
     def _timeout_s(self, deadline: DeadlineBudget | None) -> float:
         """Per-call slice: rpc_timeout_ms capped by the query budget."""

@@ -14,7 +14,7 @@ framing :mod:`repro.server.tcp` uses, with values lowered through
   coordinator-restart chaos drill does exactly that).
 - :class:`WorkerServer` — the in-process serving loop: per-connection
   reader threads, one dispatch lock (a worker process serves its
-  stores serially, like the single-lane thread transport models).
+  stores serially).
 - :class:`SocketShardProxy` — the coordinator-side stand-in for a
   ``ShardWorker``.  :class:`~repro.shard.rpc.ShardClient` calls it
   through :meth:`invoke_rpc` with the per-call deadline slice; plain

@@ -129,34 +129,6 @@ class ShardWorker:
     def finalize(self, group: int) -> None:
         self._store(group).finalize()
 
-    def read_rows_by_epoch(
-        self,
-        group: int,
-        table: str,
-        first_epoch: int,
-        last_epoch: int,
-        partial_ok: bool = False,
-        predicates=None,
-        columns=None,
-    ):
-        """Scan + the telemetry the coordinator needs to merge: returns
-        ``(columns, [(epoch, rows)...], coverage_dict, scan_stats)``.
-
-        Coverage and stats are captured here, on the serving thread —
-        they are thread-local on the store, so the coordinator could
-        not read them after a threaded RPC returned.
-        """
-        store = self._store(group)
-        out_columns, by_epoch = store.read_rows_by_epoch(
-            table,
-            first_epoch,
-            last_epoch,
-            partial_ok=partial_ok,
-            predicates=predicates,
-            columns=columns,
-        )
-        return out_columns, by_epoch, store.last_scan_coverage, store.last_scan_stats
-
     def read_columns_by_epoch(
         self,
         group: int,
@@ -167,9 +139,14 @@ class ShardWorker:
         predicates=None,
         columns=None,
     ):
-        """Column-major twin of :meth:`read_rows_by_epoch`: returns
-        ``(columns, [(epoch, column_lists)...], coverage, stats)`` for
-        the coordinator's batch merge."""
+        """The scan RPC: the group store's column scan plus the
+        telemetry the coordinator needs to merge — ``(columns, [(epoch,
+        column_lists)...], coverage_dict, scan_stats)``.
+
+        Coverage and stats are captured here, on the serving thread —
+        they are thread-local on the store, so the coordinator could
+        not read them after the RPC returned.
+        """
         store = self._store(group)
         out_columns, by_epoch = store.read_columns_by_epoch(
             table,

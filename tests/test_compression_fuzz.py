@@ -417,21 +417,24 @@ class TestTypedChannelStreams:
         """The writer drops a distinct set larger than DISTINCT_CAP, so a
         header declaring CAP + 1 values was not written by it — rejected,
         while exactly CAP values (the writer's maximum) still parse."""
+        import dataclasses
+
         from repro.compression.typedchannel import (
             DISTINCT_CAP,
-            _assemble,
-            _ZoneBuild,
+            assemble_channels,
+            build_channel,
             read_header,
         )
-        from repro.compression.columnar import encode_column
 
         def blob_with(n_distinct: int) -> bytes:
+            # Forge the zone map: the writer's own would drop an
+            # over-cap distinct set.
             cells = [f"v{i:03d}" for i in range(n_distinct)]
-            zone = _ZoneBuild(
-                name="c", null_count=0, int_count=0, int_min=0, int_max=0,
-                distinct=tuple(cells),
+            channel = build_channel(cells)
+            forged = dataclasses.replace(channel.zone, distinct=tuple(cells))
+            return assemble_channels(
+                ["c"], len(cells), [channel._replace(zone=forged)], mode=1
             )
-            return _assemble(1, ["c"], len(cells), [zone], [encode_column(cells)])
 
         codec, __, __unused = self._blobs()
         at_cap = blob_with(DISTINCT_CAP)

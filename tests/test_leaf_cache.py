@@ -6,63 +6,88 @@ import pytest
 
 from repro.core import LeafCache, Spate, SpateConfig, Table
 from repro.core.config import DecayPolicyConfig
+from repro.core.leaf_cache import LeafDescriptor
 from repro.telco import TelcoTraceGenerator, TraceConfig
 
 
-def _table(name: str = "T", rows: int = 1) -> Table:
-    return Table(name=name, columns=["a"], rows=[["x"]] * rows)
+def _leaf(names=("a",), rows: int = 1):
+    """(descriptor, {column: cells}) of one row-text leaf table."""
+    return LeafDescriptor(names, rows), {name: ["x"] * rows for name in names}
 
 
 class TestLeafCacheUnit:
     def test_get_miss_then_hit(self):
         cache = LeafCache(1000)
-        assert cache.get(0, "CDR") is None
-        cache.put(0, "CDR", _table("CDR"), 100)
-        assert cache.get(0, "CDR") is not None
+        assert cache.get(0, "CDR") == (None, None)
+        descriptor, columns = _leaf()
+        cache.put(0, "CDR", descriptor, columns, 100)
+        assert cache.get(0, "CDR") == (descriptor, columns)
         assert cache.hits == 1 and cache.misses == 1
 
     def test_byte_accounting(self):
+        # A fully decoded row-text leaf is charged its decompressed
+        # payload size in total: an even share per column, the
+        # remainder on the descriptor.
         cache = LeafCache(1000)
-        cache.put(0, "A", _table("A"), 300)
-        cache.put(0, "B", _table("B"), 200)
-        assert cache.current_bytes == 500
+        cache.put(0, "A", *_leaf(("a", "b", "c")), 301)
+        cache.put(0, "B", *_leaf(), 200)
+        assert cache.current_bytes == 501
+        assert len(cache) == 4 + 2
         cache.invalidate_epoch(0)
         assert cache.current_bytes == 0 and len(cache) == 0
 
     def test_reinsert_replaces_charge(self):
         cache = LeafCache(1000)
-        cache.put(0, "A", _table("A"), 300)
-        cache.put(0, "A", _table("A"), 500)
-        assert cache.current_bytes == 500 and len(cache) == 1
+        cache.put(0, "A", *_leaf(), 300)
+        cache.put(0, "A", *_leaf(), 500)
+        assert cache.current_bytes == 500 and len(cache) == 2
 
     def test_lru_eviction_order(self):
         cache = LeafCache(600)
-        cache.put(0, "A", _table("A"), 300)
-        cache.put(1, "B", _table("B"), 300)
-        cache.get(0, "A")  # refresh A: B becomes the LRU entry
-        evicted = cache.put(2, "C", _table("C"), 300)
-        assert evicted == 1
-        assert cache.has(0, "A") and cache.has(2, "C")
-        assert not cache.has(1, "B")
-        assert cache.evictions == 1
+        cache.put(0, "A", *_leaf(), 300)
+        cache.put(1, "B", *_leaf(), 300)
+        cache.get(0, "A")  # refresh A: B becomes the LRU leaf
+        evicted = cache.put(2, "C", *_leaf(), 300)
+        assert evicted == 2  # B's column and its descriptor
+        assert cache.has_header(0, "A") and cache.has_header(2, "C")
+        assert not cache.has_header(1, "B")
+        assert cache.evictions == 2
+
+    def test_evicted_column_turns_the_probe_into_a_miss(self):
+        # One column of a resident row-text leaf falls out of the LRU:
+        # a probe that wants it misses (the scan re-decodes the leaf),
+        # one that does not still hits.
+        cache = LeafCache(400)
+        descriptor, columns = _leaf(("a", "b"))
+        cache.put(0, "A", descriptor, columns, 300)
+        cache.get(0, "A", ("b",))  # refresh b: a is the LRU entry
+        cache.put(1, "B", *_leaf(), 200)
+        assert cache.resident_channels(0, "A") == {"b"}
+        assert cache.get(0, "A", ("a",)) == (descriptor, None)
+        assert cache.get(0, "A", None) == (descriptor, None)
+        assert cache.get(0, "A", ("b",)) == (descriptor, {"b": columns["b"]})
+        cache.put(0, "A", descriptor, columns, 300)  # the re-decode
+        assert cache.get(0, "A", ("a",))[1] == {"a": columns["a"]}
 
     def test_oversized_refresh_drops_stale_entry(self):
         # A fungus-rewritten leaf that grew past the cap must not keep
         # serving its pre-rewrite rows from the cache.
         cache = LeafCache(400)
-        cache.put(0, "A", _table("A", rows=1), 300)
-        cache.put(0, "A", _table("A", rows=2), 500)  # oversized refresh
-        assert cache.get(0, "A") is None
-        assert cache.current_bytes == 0 and len(cache) == 0
+        cache.put(0, "A", *_leaf(rows=1), 300)
+        cache.put(0, "A", *_leaf(rows=2), 500)  # oversized refresh
+        assert cache.get(0, "A")[1] is None
+        assert cache.resident_channels(0, "A") == set()
+        assert len(cache) == 1  # the fresh descriptor alone
 
     def test_oversized_payload_not_cached(self):
         cache = LeafCache(100)
-        assert cache.put(0, "A", _table("A"), 1000) == 0
-        assert len(cache) == 0 and cache.current_bytes == 0
+        assert cache.put(0, "A", *_leaf(), 1000) == 0
+        assert cache.resident_channels(0, "A") == set()
+        assert cache.get(0, "A")[1] is None
 
     def test_zero_capacity_disables_storage(self):
         cache = LeafCache(0)
-        cache.put(0, "A", _table("A"), 1)
+        cache.put(0, "A", *_leaf(), 1)
         assert len(cache) == 0
 
     def test_negative_capacity_rejected(self):
@@ -71,12 +96,12 @@ class TestLeafCacheUnit:
 
     def test_stats_snapshot(self):
         cache = LeafCache(600)
-        cache.put(0, "A", _table("A"), 300)
+        cache.put(0, "A", *_leaf(), 300)
         cache.get(0, "A")
         cache.get(9, "Z")
         stats = cache.stats()
         assert stats.hits == 1 and stats.misses == 1
-        assert stats.entries == 1 and stats.current_bytes == 300
+        assert stats.entries == 2 and stats.current_bytes == 300
         assert stats.hit_rate == pytest.approx(0.5)
 
 
@@ -104,8 +129,12 @@ class TestLeafCacheIntegration:
         spate.ingest(generator.snapshot(0))
         first = spate.read_table(0, "CDR")
         second = spate.read_table(0, "CDR")
-        assert first is second  # served from cache
+        assert spate.metrics.leaf_cache_hits == 1  # served from cache
         assert first.rows == second.rows
+        # Cached cells are shared and read-only; rows handed out are
+        # fresh lists a caller may keep or change.
+        assert first.rows is not second.rows
+        assert first.rows[0] is not second.rows[0]
 
     def test_cache_disabled_by_config(self):
         spate, generator = _build_spate(
@@ -123,11 +152,12 @@ class TestLeafCacheIntegration:
         )
         spate.ingest(generator.snapshot(0))
         spate.read_table(0, "CDR")
-        assert spate.leaf_cache.has(0, "CDR")
+        assert spate.leaf_cache.has_header(0, "CDR")
         for epoch in range(1, 4):
             spate.ingest(generator.snapshot(epoch))
         # keep_epochs=2 with frontier 3 evicts epochs 0 and 1.
-        assert not spate.leaf_cache.has(0, "CDR")
+        assert not spate.leaf_cache.has_header(0, "CDR")
+        assert spate.leaf_cache.resident_channels(0, "CDR") == set()
         assert spate.metrics.leaf_cache_invalidations >= 1
 
     def test_decay_groups_invalidate_rewritten_leaves(self):
@@ -143,6 +173,31 @@ class TestLeafCacheIntegration:
         # The rewrite dropped records; a stale cache would return `before`.
         assert after is not before
         assert len(after.rows) < len(before.rows)
+
+    def test_evicted_column_is_re_decoded_with_the_same_cells(self):
+        spate, generator = _build_spate(decay=DecayPolicyConfig(enabled=False))
+        spate.ingest(generator.snapshot(0))
+        names, cold = spate.read_columns("CDR", 0, 0)
+        cache = spate.leaf_cache
+        assert cache.resident_channels(0, "CDR") == set(names)
+        # Make one column the LRU entry of a cache one byte too small.
+        leaf, __ = cache.get(0, "CDR", [c for c in names if c != "duration_s"])
+        payload = cache.current_bytes  # the one fully resident leaf's charge
+        cache.capacity_bytes = payload - 1
+        assert cache.put(0, "CDR", leaf, {}, payload) == 1
+        assert cache.resident_channels(0, "CDR") == set(names) - {"duration_s"}
+        # A scan of a column still there hits and reads nothing ...
+        reads = _count_reads(spate)
+        __, warm = spate.read_columns("CDR", 0, 0, columns=["cell_id"])
+        assert spate.last_scan_stats.cache_hits == 1 and reads == []
+        assert warm[names.index("cell_id")] == cold[names.index("cell_id")]
+        # ... one that wants the evicted column misses, re-decodes the
+        # leaf and returns the same cells.
+        misses = spate.metrics.leaf_cache_misses
+        __, again = spate.read_columns("CDR", 0, 0, columns=["duration_s"])
+        assert spate.metrics.leaf_cache_misses == misses + 1
+        assert spate.last_scan_stats.bytes_decompressed > 0 and len(reads) == 1
+        assert again[names.index("duration_s")] == cold[names.index("duration_s")]
 
     def test_explore_uses_cache_across_queries(self):
         spate, generator = _build_spate(decay=DecayPolicyConfig(enabled=False))
@@ -163,7 +218,7 @@ class TestLeafCacheIntegration:
 
 
 def _typed_leaf(rows: int = 4, columns=("cell_id", "duration_s", "note")):
-    """(header, {column: cells}) of one typed-channel leaf table."""
+    """(descriptor, {column: cells}) of one typed-channel leaf table."""
     from repro.compression import get_codec
     from repro.compression.typedchannel import decode_columns, read_header
     from repro.core.layout import serialize_table
@@ -176,7 +231,7 @@ def _typed_leaf(rows: int = 4, columns=("cell_id", "duration_s", "note")):
     blob = get_codec("typedchannel").compress(serialize_table(table, "columnar"))
     header = read_header(blob)
     names, cells, __ = decode_columns(blob, None, header)
-    return header, dict(zip(names, cells))
+    return LeafDescriptor(names, header.n_rows, header), dict(zip(names, cells))
 
 
 def _channel_charge(header, column: str) -> int:
@@ -185,63 +240,67 @@ def _channel_charge(header, column: str) -> int:
 
 class TestTypedResidencyUnit:
     def test_header_and_channels_are_charged(self):
-        header, channels = _typed_leaf()
+        leaf, channels = _typed_leaf()
+        header = leaf.header
         cache = LeafCache(100_000)
-        cache.put_channels(0, "CDR", header, {"cell_id": channels["cell_id"]})
+        cache.put(0, "CDR", leaf, {"cell_id": channels["cell_id"]})
         assert cache.current_bytes == header.body_start + _channel_charge(
             header, "cell_id"
         )
         assert len(cache) == 2
         assert cache.has_header(0, "CDR")
         assert cache.resident_channels(0, "CDR") == {"cell_id"}
-        assert not cache.has(0, "CDR")  # no full table was cached
         # A channel is charged at least 8 bytes a cell plus its encoding.
         assert _channel_charge(header, "cell_id") >= 8 * header.n_rows
 
     def test_lookup_serves_only_complete_channel_sets(self):
-        header, channels = _typed_leaf()
+        leaf, channels = _typed_leaf()
         cache = LeafCache(100_000)
-        cache.put_channels(
-            3, "CDR", header,
+        cache.put(
+            3, "CDR", leaf,
             {"cell_id": channels["cell_id"], "note": channels["note"]},
         )
-        table, got_header, got = cache.lookup(3, "CDR", ("cell_id", "note"))
-        assert table is None and got_header is header
+        got_leaf, got = cache.get(3, "CDR", ("cell_id", "note"))
+        assert got_leaf is leaf
         assert got == {"cell_id": channels["cell_id"], "note": channels["note"]}
         assert got["cell_id"] is channels["cell_id"]  # shared, not copied
         # One wanted channel missing: the header still comes back (no
         # parse, zone gate before the read) but the leaf must be decoded.
-        __, got_header, got = cache.lookup(3, "CDR", ("cell_id", "duration_s"))
-        assert got_header is header and got is None
+        got_leaf, got = cache.get(3, "CDR", ("cell_id", "duration_s"))
+        assert got_leaf.header is leaf.header and got is None
         # columns=None wants every channel of the leaf.
-        assert cache.lookup(3, "CDR", None)[2] is None
+        assert cache.get(3, "CDR", None)[1] is None
         # Names the leaf does not store constrain nothing.
-        assert cache.lookup(3, "CDR", ("note", "ghost"))[2] == {
+        assert cache.get(3, "CDR", ("note", "ghost"))[1] == {
             "note": channels["note"]
         }
         assert (cache.hits, cache.misses) == (2, 2)
         # A cold leaf is one miss, whatever was asked for.
-        assert cache.lookup(4, "CDR", ("cell_id",)) == (None, None, None)
+        assert cache.get(4, "CDR", ("cell_id",)) == (None, None)
         assert cache.misses == 3
 
     def test_lookup_prefers_the_full_table(self):
-        header, channels = _typed_leaf()
+        # A leaf left fully resident by one full decode serves every
+        # projection of it, and the probe hands back only what it asked.
+        leaf, channels = _typed_leaf()
         cache = LeafCache(100_000)
-        cache.put_channels(0, "CDR", header, channels)
-        full = _table("CDR")
-        cache.put(0, "CDR", full, 50)
-        assert cache.lookup(0, "CDR", ("cell_id",)) == (full, None, None)
-        assert cache.hits == 1
+        cache.put(0, "CDR", leaf, channels)
+        assert cache.get(0, "CDR", ("cell_id",)) == (
+            leaf, {"cell_id": channels["cell_id"]}
+        )
+        assert cache.get(0, "CDR", None) == (leaf, channels)
+        assert cache.hits == 2
 
     def test_channels_evict_lru_under_a_small_capacity(self):
-        header, channels = _typed_leaf(rows=50)
+        leaf, channels = _typed_leaf(rows=50)
+        header = leaf.header
         one = max(_channel_charge(header, name) for name in channels)
         cache = LeafCache(header.body_start + 2 * one)
-        cache.put_channels(0, "CDR", header, {"cell_id": channels["cell_id"]})
-        cache.put_channels(0, "CDR", header, {"duration_s": channels["duration_s"]})
+        cache.put(0, "CDR", leaf, {"cell_id": channels["cell_id"]})
+        cache.put(0, "CDR", leaf, {"duration_s": channels["duration_s"]})
         assert cache.resident_channels(0, "CDR") == {"cell_id", "duration_s"}
-        cache.lookup(0, "CDR", ("cell_id",))  # refresh: duration_s is LRU
-        evicted = cache.put_channels(0, "CDR", header, {"note": channels["note"]})
+        cache.get(0, "CDR", ("cell_id",))  # refresh: duration_s is LRU
+        evicted = cache.put(0, "CDR", leaf, {"note": channels["note"]})
         assert evicted >= 1
         assert "duration_s" not in cache.resident_channels(0, "CDR")
         assert "cell_id" in cache.resident_channels(0, "CDR")
@@ -250,34 +309,38 @@ class TestTypedResidencyUnit:
         assert cache.evictions == evicted
 
     def test_oversized_channel_and_header_are_refused(self):
-        header, channels = _typed_leaf(rows=50)
+        leaf, channels = _typed_leaf(rows=50)
+        header = leaf.header
         charge = _channel_charge(header, "duration_s")
         assert header.body_start < charge
         cache = LeafCache(charge - 1)  # fits the header, not the channel
-        cache.put_channels(0, "CDR", header, {"duration_s": channels["duration_s"]})
+        cache.put(0, "CDR", leaf, {"duration_s": channels["duration_s"]})
         assert cache.resident_channels(0, "CDR") == set()
         assert cache.has_header(0, "CDR")
         tiny = LeafCache(header.body_start - 1)
-        tiny.put_channels(0, "CDR", header, {})
+        tiny.put(0, "CDR", leaf, {})
         assert len(tiny) == 0 and tiny.current_bytes == 0
 
     def test_zero_capacity_stores_no_header_or_channel(self):
-        header, channels = _typed_leaf()
+        leaf, channels = _typed_leaf()
         cache = LeafCache(0)
-        cache.put_channels(0, "CDR", header, channels)
+        cache.put(0, "CDR", leaf, channels)
         assert len(cache) == 0
-        assert cache.lookup(0, "CDR", None) == (None, None, None)
+        assert cache.get(0, "CDR", None) == (None, None)
 
     def test_invalidate_epoch_drops_every_kind(self):
-        header, channels = _typed_leaf()
+        # Descriptor and columns go together, typed leaf or row-text.
+        leaf, channels = _typed_leaf()
+        header = leaf.header
         cache = LeafCache(100_000)
-        cache.put(0, "NMS", _table("NMS"), 10)
-        cache.put_channels(0, "CDR", header, channels)
-        cache.put_channels(1, "CDR", header, channels)
+        cache.put(0, "NMS", *_leaf(("a", "b")), 10)
+        cache.put(0, "CDR", leaf, channels)
+        cache.put(1, "CDR", leaf, channels)
         dropped = cache.invalidate_epoch(0)
-        assert dropped == 1 + 1 + len(channels)
-        assert not cache.has_header(0, "CDR")
-        assert cache.resident_channels(0, "CDR") == set()
+        assert dropped == (1 + 2) + (1 + len(channels))
+        for table in ("NMS", "CDR"):
+            assert not cache.has_header(0, table)
+            assert cache.resident_channels(0, table) == set()
         assert cache.has_header(1, "CDR")
         assert cache.current_bytes == header.body_start + sum(
             _channel_charge(header, name) for name in channels
@@ -297,7 +360,8 @@ class TestTypedResidencyUnit:
         )
         assert not header.unique_names
         cache = LeafCache(1000)
-        assert cache.put_channels(0, "T", header, {"a": ["x"]}) == 0
+        leaf = LeafDescriptor(header.columns, 1, header)
+        assert cache.put(0, "T", leaf, {"a": ["x"]}) == 0
         assert len(cache) == 0
 
 
@@ -338,10 +402,10 @@ class TestTypedResidencyIntegration:
         sql = "SELECT call_type, COUNT(*) AS n FROM CDR GROUP BY call_type"
         cold = spate.sql(sql)
         first = spate.last_scan_stats
-        # (The planner's schema probe leaves one full Table resident.)
-        tables = first.cache_hits
-        assert tables <= 1 and first.channels_decoded == 12 - tables
-        assert first.header_cache_hits == 0
+        # (The planner's schema probe left one leaf's header resident —
+        # it asks for no column, so it decoded no channel.)
+        assert first.cache_hits == 0 and first.header_cache_hits == 1
+        assert first.channels_decoded == 12
         reads = _count_reads(spate)
         warm = spate.sql(sql)
         stats = spate.last_scan_stats
@@ -349,20 +413,21 @@ class TestTypedResidencyIntegration:
         assert reads == []
         assert stats.bytes_decompressed == 0 and stats.channels_decoded == 0
         assert stats.cache_hits == stats.leaves_scanned == 12
-        assert stats.header_cache_hits == 12 - tables
-        assert stats.channels_from_cache == 12 - tables  # one column each
+        assert stats.header_cache_hits == 12
+        assert stats.channels_from_cache == 12  # one column each
         # A query over another column decodes only what is not resident.
         spate.sql("SELECT SUM(duration_s) AS t FROM CDR")
         again = spate.last_scan_stats
-        assert again.header_cache_hits == 12 - tables
-        assert again.cache_hits == tables
-        assert again.channels_decoded == 12 - tables
+        assert again.header_cache_hits == 12
+        assert again.cache_hits == 0
+        assert again.channels_decoded == 12
 
     def test_zone_pruned_resident_leaf_costs_no_dfs_read(self):
         spate = _typed_spate()
         spate.sql(SELECTIVE)
         first = spate.last_scan_stats
-        assert first.leaves_zone_pruned > 0 and first.header_cache_hits == 0
+        # (Only the planner's schema-probe leaf starts out resident.)
+        assert first.leaves_zone_pruned > 0 and first.header_cache_hits == 1
         # The pruned leaves were read once (to parse the header that
         # disproved them) and never decoded: only their header is resident.
         pruned = [
@@ -379,9 +444,8 @@ class TestTypedResidencyIntegration:
         stats = spate.last_scan_stats
         assert stats.leaves_zone_pruned == first.leaves_zone_pruned
         assert reads == []
-        # Every leaf but the schema probe's full Table came by its header.
         assert stats.leaves_zone_pruned <= stats.header_cache_hits
-        assert stats.header_cache_hits >= 12 - 1
+        assert stats.header_cache_hits == 12
         assert stats.channel_bytes_skipped > 0
 
     def test_warm_explore_is_served_from_channels(self):
@@ -397,7 +461,8 @@ class TestTypedResidencyIntegration:
     def test_cache_off_disables_all_three_residencies(self):
         spate = _typed_spate(leaf_cache_bytes=0)
         assert spate.leaf_cache is None
-        assert spate._scan_context().cache_put_channels is None
+        context = spate._scan_context()
+        assert context.cache_get is None and context.cache_put is None
         reads = _count_reads(spate)
         for __ in range(2):
             spate.sql(SELECTIVE)
@@ -449,9 +514,9 @@ class TestTypedResidencyIntegration:
         assert spate.metrics.leaf_cache_misses == cache.misses > 0
         assert spate.metrics.leaf_cache_hit_rate == pytest.approx(cache.hit_rate)
 
-        # ... and projected columnar decodes that never do: every probe
-        # is a miss, counted at the probe (it used to go uncounted, so
-        # `spate metrics` reported an inflated hit rate).
+        # ... and projected columnar decodes, which leave the columns
+        # they decoded resident like any other leaf: the first pass
+        # misses, the second hits, each counted at the probe.
         generator = TelcoTraceGenerator(TraceConfig(scale=0.002, days=1, seed=11))
         columnar = Spate(SpateConfig(
             codec="gzip-ref", layout="columnar", executor="serial",
@@ -463,7 +528,8 @@ class TestTypedResidencyIntegration:
         for __ in range(2):
             columnar.read_columns("CDR", 0, 2, columns=["duration_s"])
         cache = columnar.leaf_cache.stats()
-        assert cache.hits == 0 and cache.misses == 6
+        assert cache.hits == 3 and cache.misses == 3
+        assert columnar.leaf_cache.resident_channels(0, "CDR") == {"duration_s"}
         assert columnar.metrics.leaf_cache_misses == cache.misses
         assert columnar.metrics.leaf_cache_hits == cache.hits
 
@@ -471,7 +537,6 @@ class TestTypedResidencyIntegration:
         spate = _typed_spate()
         sql = "SELECT COUNT(*) AS n, SUM(duration_s) AS t FROM CDR"
         before = spate.sql(sql, 20, 25).rows
-        # (Epoch 20 holds the schema probe's full Table instead.)
         assert spate.leaf_cache.has_header(21, "CDR")
         report = spate.decay_groups(older_than_epoch=26, keep_fraction=0.1)
         assert 21 in report.rewritten_epochs

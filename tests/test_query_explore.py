@@ -130,19 +130,14 @@ class TestScanDaySchemaDrift:
     """Leaves of one day can expose different table schemas (e.g. after
     a fungus rewrite drops columns).  Record width must stay uniform."""
 
-    @staticmethod
-    def _leaf(epoch: int) -> SnapshotLeaf:
-        return SnapshotLeaf(
-            epoch=epoch, table_paths={}, raw_bytes=0,
-            compressed_bytes=0, record_count=1,
-        )
-
     def _engine(self) -> ExplorationEngine:
+        """An engine over a fake leaf source: two row-text leaves served
+        straight from a dict through the one scan pipeline."""
+        from repro.compression import get_codec
         from repro.core import Table
+        from repro.engine.executor import get_executor
+        from repro.query.leafscan import ScanContext
 
-        index = TemporalIndex()
-        index.insert_leaf(self._leaf(0))
-        index.insert_leaf(self._leaf(1))
         tables = {
             0: Table(
                 name="CDR",
@@ -152,10 +147,27 @@ class TestScanDaySchemaDrift:
             # Same day, narrower schema: downflux is gone.
             1: Table(name="CDR", columns=["caller_id"], rows=[["c2"]]),
         }
+        codec = get_codec("gzip-ref")
+        blobs = {
+            f"/leaf/{epoch}": codec.compress(table.serialize())
+            for epoch, table in tables.items()
+        }
+        index = TemporalIndex()
+        for epoch in tables:
+            index.insert_leaf(SnapshotLeaf(
+                epoch=epoch, table_paths={"CDR": f"/leaf/{epoch}"},
+                raw_bytes=0, compressed_bytes=0, record_count=1,
+            ))
         return ExplorationEngine(
             index=index,
-            read_leaf_table=lambda leaf, name: tables[leaf.epoch],
             cell_locations={},
+            scan_context=ScanContext(
+                executor=get_executor("serial"),
+                codec_name="gzip-ref",
+                layout="row",
+                pruning=True,
+                read_payload=blobs.__getitem__,
+            ),
         )
 
     def test_records_keep_uniform_width(self):

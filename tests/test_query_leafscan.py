@@ -23,12 +23,12 @@ from repro.compression import get_codec
 from repro.core.layout import serialize_table
 from repro.core.snapshot import Table
 from repro.query.leafscan import (
+    TASK_COLUMNS,
     TASK_HEADER,
     ScanContext,
     ScanStats,
     decode_leaf_task,
     parse_header,
-    task_is_projected,
 )
 from repro.query.leafscan import zone_map_prunes as header_prunes
 from repro.query.sql.planner import ScanPredicate
@@ -281,54 +281,83 @@ class TestZoneMapPrunes:
 
 
 class TestDecodeTaskProjection:
-    def _context(self, pruning=True, codec_name="typedchannel", layout="row"):
+    def _context(self, pruning=True, codec_name="typedchannel", layout="row",
+                 cached=False):
         return ScanContext(
             executor=None,
             codec_name=codec_name,
             layout=layout,
             pruning=pruning,
             read_payload=lambda path: b"",
-            cache_get=lambda epoch, table: None,
-            cache_put=lambda epoch, table, loaded, nbytes: None,
+            cache_put=(lambda *entry: None) if cached else None,
         )
 
     def test_typedchannel_projects_wanted_columns_under_row_layout(self):
         ctx = self._context()
-        task = ctx.decode_task("CDR", b"", None, wanted=("b", "a", "b"))
-        assert task[5] == ("a", "b")
-        assert task_is_projected(task)
+        assert ctx.projection(("b", "a", "b")) == ("a", "b")
+        task = ctx.decode_task("CDR", b"", ("a", "b"))
+        assert task[TASK_COLUMNS] == ("a", "b")
 
     def test_non_typedchannel_ignores_wanted(self):
-        ctx = self._context(codec_name="gzip-ref")
-        task = ctx.decode_task("CDR", b"", None, wanted=("a",))
-        assert task[5] is None
-        assert not task_is_projected(task)
+        """Only a row-text leaf with a cache to fill ignores the wanted
+        set — its parse pays for every cell anyway, so the task decodes
+        (and the scan offers the cache) all columns.  Everywhere else
+        the one projection rule holds, whatever the codec or layout."""
+        ctx = self._context(codec_name="gzip-ref", cached=True)
+        assert ctx.decode_task("CDR", b"", ("a",))[TASK_COLUMNS] is None
+        for layout, cached in [("row", False), ("columnar", False), ("columnar", True)]:
+            ctx = self._context(codec_name="gzip-ref", layout=layout, cached=cached)
+            assert ctx.projection(("a",)) == ("a",)
+            assert ctx.decode_task("CDR", b"", ("a",))[TASK_COLUMNS] == ("a",)
 
     def test_pruning_off_ignores_wanted(self):
-        ctx = self._context(pruning=False)
-        task = ctx.decode_task("CDR", b"", None, wanted=("a",))
-        assert task[5] is None
-
-    def test_explicit_projection_wins_over_wanted(self):
-        ctx = self._context()
-        task = ctx.decode_task("CDR", b"", ("x",), wanted=("a", "b"))
-        assert task[5] == ("x",)
+        assert self._context(pruning=False).projection(("a",)) is None
+        # ... and no referenced-column set means no projection either.
+        assert self._context().projection(None) is None
 
     def test_decode_leaf_task_reports_channel_stats(self):
         table = duration_table(["5", "15", "25"], extra_col="pad")
         task = typed_task(table, columns=("duration_s",))
-        loaded, nbytes, channel_stats = decode_leaf_task(task)
+        names, cells, n_rows, nbytes, channel_stats = decode_leaf_task(task)
         assert channel_stats is not None
         assert channel_stats.channels_decoded == 1
         assert nbytes == channel_stats.bytes_decoded
-        duration = table.columns.index("duration_s")
-        assert [row[duration] for row in loaded.rows] == ["5", "15", "25"]
+        assert names == table.columns and n_rows == 3
+        # Exactly the selected column comes back, keyed by name.
+        assert cells == {"duration_s": ["5", "15", "25"]}
 
     def test_decode_leaf_task_full_decode_has_no_skips(self):
         table = duration_table(["5", "15"])
-        loaded, __, channel_stats = decode_leaf_task(typed_task(table))
+        names, cells, __, __, channel_stats = decode_leaf_task(typed_task(table))
         assert channel_stats.bytes_skipped == 0
-        assert loaded.rows == table.rows
+        assert rows_of(names, cells) == table.rows
+
+    @pytest.mark.parametrize("layout", ["row", "columnar"])
+    def test_decode_leaf_task_untyped_leaf_returns_columns(self, layout):
+        table = duration_table(["5", "15", "25"], extra_col="pad")
+        blob = get_codec("gzip-ref").compress(serialize_table(table, layout))
+        full = decode_leaf_task(blob_task("gzip-ref", layout, "CDR", blob))
+        names, cells, n_rows, nbytes, channel_stats = full
+        assert (names, n_rows, channel_stats) == (table.columns, 3, None)
+        assert nbytes == len(serialize_table(table, layout))
+        assert rows_of(names, cells) == table.rows
+        names, cells, *__ = decode_leaf_task(
+            blob_task("gzip-ref", layout, "CDR", blob, ("note",))
+        )
+        assert names == table.columns and cells == {"note": ["pad"] * 3}
+
+    def test_decode_leaf_task_empty_row_text_leaf(self):
+        table = duration_table([])
+        blob = get_codec("gzip-ref").compress(serialize_table(table, "row"))
+        names, cells, n_rows, *__ = decode_leaf_task(
+            blob_task("gzip-ref", "row", "CDR", blob)
+        )
+        assert (names, n_rows) == (table.columns, 0)
+        assert cells == {"cell_id": [], "duration_s": []}
+
+
+def rows_of(names, cells):
+    return [list(row) for row in zip(*(cells[name] for name in names))]
 
 
 CELL_STRATEGY = st.one_of(
@@ -411,11 +440,9 @@ class TestZonePruneSoundness:
         task = typed_task(table)
         predicate = ScanPredicate("duration_s", op, threshold)
         matching = [
-            row
-            for row in decode_leaf_task(task)[0].rows
-            if predicate_passes(
-                row[table.columns.index("duration_s")], op, threshold
-            )
+            cell
+            for cell in decode_leaf_task(task)[1]["duration_s"]
+            if predicate_passes(cell, op, threshold)
         ]
         pruned, __ = zone_map_prunes(task, [predicate])
         if pruned:

@@ -19,10 +19,9 @@ from __future__ import annotations
 import threading
 
 from repro.core import Spate, SpateConfig
-from repro.core.leaf_cache import LeafCache
+from repro.core.leaf_cache import LeafCache, LeafDescriptor
 from repro.core.metrics import WarehouseMetrics, percentile
 from repro.core.query_cache import QueryResultCache
-from repro.core.snapshot import Table
 from repro.server import QueryRequest, ServerConfig, SpateServer
 
 THREADS = 8
@@ -52,11 +51,13 @@ def run_threads(worker, n=THREADS):
     return errors
 
 
-def make_table(name: str, rows: int = 4) -> Table:
-    table = Table(name=name, columns=["a", "b"])
-    for i in range(rows):
-        table.append([str(i), str(i * 2)])
-    return table
+def make_leaf(rows: int = 4):
+    """(descriptor, {column: cells}) of one decoded leaf table."""
+    cells = {
+        "a": [str(i) for i in range(rows)],
+        "b": [str(i * 2) for i in range(rows)],
+    }
+    return LeafDescriptor(("a", "b"), rows), cells
 
 
 class TestLeafCacheThreadSafety:
@@ -66,9 +67,9 @@ class TestLeafCacheThreadSafety:
         def worker(index: int) -> None:
             for round_no in range(ROUNDS):
                 epoch = (index * ROUNDS + round_no) % 32
-                cache.put(epoch, "CDR", make_table("CDR"), nbytes=1024)
-                cache.get(epoch, "CDR")
-                cache.has(epoch, "CDR")
+                cache.put(epoch, "CDR", *make_leaf(), nbytes=1024)
+                cache.get(epoch, "CDR", ("a",))
+                cache.has_header(epoch, "CDR")
                 if round_no % 17 == 0:
                     cache.invalidate_epoch(epoch)
                 if round_no % 91 == 0:
@@ -84,17 +85,21 @@ class TestLeafCacheThreadSafety:
         assert stats.hits + stats.misses >= THREADS * ROUNDS
 
     def test_eviction_accounting_under_contention(self):
-        # Capacity of 3 entries: concurrent puts force constant LRU
-        # eviction; byte accounting must stay exact.
+        # Capacity of 3 leaves: concurrent puts force constant LRU
+        # eviction; byte accounting must stay exact.  (A 100-byte leaf
+        # of two one-letter columns is 3 entries: 48 + 48 + 4.)
         cache = LeafCache(capacity_bytes=3 * 100)
 
         def worker(index: int) -> None:
             for round_no in range(ROUNDS):
-                cache.put((index, round_no), "CDR", make_table("CDR"), 100)
+                cache.put((index, round_no), "CDR", *make_leaf(), 100)
 
         run_threads(worker)
-        assert cache.current_bytes == len(cache) * 100
-        assert len(cache) <= 3
+        charged = {"a": 48, "b": 48, None: 4}
+        assert cache.current_bytes == sum(
+            charged[key[2]] for key in cache._entries
+        )
+        assert cache.current_bytes <= 300 and len(cache) <= 9
 
 
 class TestQueryCacheThreadSafety:
@@ -322,10 +327,7 @@ class TestSharedResidentChannels:
                 ).records,
             )
 
-        read_all()  # fills the cache
-        # (Steady state from here on; the first pass saw blanks where the
-        # planner's schema probe has since left a full Table resident.)
-        reference = read_all()
+        reference = read_all()  # fills the cache
         assert read_all() == reference
         resident = {
             key: (entry[0], list(entry[0]))

@@ -346,14 +346,6 @@ class TestRpcStack:
         assert sharded3.client.counters.retries == retries_before
         assert all(not b.open for b in sharded3.client.breakers.values())
 
-    def test_thread_transport_matches_inline(self, reference):
-        warehouse = build_sharded(2, transport="thread")
-        try:
-            assert warehouse.read_rows("CDR", 0, EPOCHS - 1) == \
-                reference.read_rows("CDR", 0, EPOCHS - 1)
-        finally:
-            warehouse.close()
-
 
 class TestCoverageMergeAccumulates:
     """Satellite: reasons from multiple sources accumulate instead of

@@ -19,8 +19,6 @@ deadline-budget thread-local hygiene fixes.
 from __future__ import annotations
 
 import logging
-import threading
-import time
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -39,7 +37,6 @@ from repro.query.sql.planner import ScanPredicate, cell_equality_values
 from repro.shard import (
     DeadlineBudget,
     RegionMap,
-    ShardClient,
     ShardedSpate,
     effective_replication,
     region_grid_shape,
@@ -597,50 +594,11 @@ class TestWireCodec:
 
 
 # ----------------------------------------------------------------------
-# Deadline-budget hygiene on pooled / reused lanes
+# Deadline-budget hygiene
 # ----------------------------------------------------------------------
 
 
-class _SlowWorker:
-    """A worker double whose one method blocks until released."""
-
-    alive = True
-
-    def __init__(self) -> None:
-        self.release = threading.Event()
-        self.slow_once = True
-
-    def ping(self) -> str:
-        return "pong"
-
-    def work(self) -> str:
-        if self.slow_once:
-            self.slow_once = False
-            self.release.wait(timeout=10.0)
-        return "done"
-
-
 class TestThreadLaneHygiene:
-    def test_timed_out_call_does_not_poison_the_lane(self):
-        """A timed-out RPC keeps running on the shard's single lane;
-        the next (fast) call must get a fresh lane instead of queueing
-        behind the stale one and deadline-failing through no fault of
-        its own."""
-        worker = _SlowWorker()
-        client = ShardClient(
-            {0: worker},
-            ShardConfig(transport="thread", rpc_timeout_ms=100),
-        )
-        try:
-            with pytest.raises(ShardTimeoutError):
-                client.call(0, "work", retry=False)
-            start = time.perf_counter()
-            assert client.call(0, "work", retry=False) == "done"
-            assert time.perf_counter() - start < 5.0
-        finally:
-            worker.release.set()
-            client.close()
-
     def test_nested_sql_restores_outer_deadline(self):
         warehouse = build_sharded(1, epochs=2, group_replication=1)
         try:
